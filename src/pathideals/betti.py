@@ -18,7 +18,7 @@ primes, and fraction-free (Bareiss) integer elimination for characteristic 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -29,6 +29,7 @@ NEG_INF = float("-inf")
 DEFAULT_CAP = 22
 ORACLE_CAP = 14
 CAP_ENV_VAR = "PATHIDEALS_CAP"
+MAX_PRIME = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,9 @@ class FieldSpec:
         c = self.characteristic
         if c == 0:
             return
+        if c > MAX_PRIME:
+            # rank_mod_p multiplies two residues in int64, so p^2 must fit
+            raise InputError(f"GF(p) needs p <= 2^31, got {c}; use q for exact rational arithmetic")
         if c < 2 or any(c % d == 0 for d in range(2, int(c**0.5) + 1)):
             raise InputError(f"characteristic must be 0 or a prime, got {c}")
 
@@ -314,15 +318,12 @@ def _check_capacity(ideal: MonomialIdeal, cap: int) -> None:
 
 
 def betti_hochster(
-    ideal: MonomialIdeal,
-    field: FieldSpec = GF2,
-    prune: bool = True,
-    cap: int = DEFAULT_CAP,
+    ideal: MonomialIdeal, field: FieldSpec = GF2, cap: int = DEFAULT_CAP
 ) -> BettiTable:
     """Betti table of R/I by summing homology of induced subcomplexes.
 
-    With ``prune`` enabled, subsets containing a vertex that lies in no
-    generator inside the subset are skipped (their subcomplex is a cone).
+    Subsets containing a vertex that lies in no generator inside the subset
+    are skipped (their subcomplex is a cone).
     """
     if ideal.is_unit:
         raise InputError("Betti table of the unit ideal is not defined")
@@ -332,40 +333,26 @@ def betti_hochster(
         return BettiTable.from_dict(table)
     char = field.characteristic
 
-    def accumulate(w_popcount: int, dims: dict[int, int]) -> None:
-        for d, h in dims.items():
-            i = w_popcount - 1 - d
+    used = sorted(set().union(*ideal.gens))
+    pos = {v: k for k, v in enumerate(used)}
+    gmasks = [sum(1 << pos[v] for v in g) for g in ideal.gens]
+    masks = np.arange(1, 1 << len(used), dtype=np.int64)
+    is_face = np.ones(masks.shape, dtype=bool)
+    covered = np.zeros(masks.shape, dtype=np.int64)
+    for g in gmasks:
+        inside = (masks & g) == g
+        is_face &= ~inside
+        covered |= np.where(inside, np.int64(g), np.int64(0))
+    faces = masks[is_face]
+    survivors = sorted((int(w) for w in masks[covered == masks]),
+                       key=lambda w: (w.bit_count(), w))
+    for w in survivors:
+        sel = faces[(faces & ~w) == 0]
+        size = w.bit_count()
+        for d, h in _homology_dims_from_faces([int(f) for f in sel], char).items():
+            i = size - 1 - d
             if i >= 1:
-                table[(i, w_popcount)] = table.get((i, w_popcount), 0) + h
-
-    if prune:
-        used = sorted(set().union(*ideal.gens))
-        pos = {v: k for k, v in enumerate(used)}
-        gmasks = [sum(1 << pos[v] for v in g) for g in ideal.gens]
-        masks = np.arange(1, 1 << len(used), dtype=np.int64)
-        is_face = np.ones(masks.shape, dtype=bool)
-        covered = np.zeros(masks.shape, dtype=np.int64)
-        for g in gmasks:
-            inside = (masks & g) == g
-            is_face &= ~inside
-            covered |= np.where(inside, np.int64(g), np.int64(0))
-        faces = masks[is_face]
-        survivors = sorted((int(w) for w in masks[covered == masks]),
-                           key=lambda w: (w.bit_count(), w))
-        for w in survivors:
-            sel = faces[(faces & ~w) == 0]
-            dims = _homology_dims_from_faces([int(f) for f in sel], char)
-            accumulate(w.bit_count(), dims)
-    else:
-        gmasks = [sum(1 << v for v in g) for g in ideal.gens]
-        for w in range(1, 1 << ideal.n):
-            faces_w = [
-                s
-                for s in _nonempty_submasks(w)
-                if not any((g & s) == g for g in gmasks)
-            ]
-            dims = _homology_dims_from_faces(faces_w, char)
-            accumulate(w.bit_count(), dims)
+                table[(i, size)] = table.get((i, size), 0) + h
     return BettiTable.from_dict(table)
 
 
@@ -438,16 +425,11 @@ def betti_koszul_oracle(
 # -- regularity and the short-exact-sequence bound ---------------------------------
 
 
-def regularity(
-    ideal: MonomialIdeal,
-    field: FieldSpec = GF2,
-    prune: bool = True,
-    cap: int = DEFAULT_CAP,
-):
+def regularity(ideal: MonomialIdeal, field: FieldSpec = GF2, cap: int = DEFAULT_CAP):
     """reg(R/I): max j - i over nonzero Betti entries; -inf for the unit ideal."""
     if ideal.is_unit:
         return NEG_INF
-    return betti_hochster(ideal, field, prune=prune, cap=cap).regularity()
+    return betti_hochster(ideal, field, cap=cap).regularity()
 
 
 @dataclass(frozen=True)
@@ -466,6 +448,20 @@ class SesBoundReport:
     def holds(self) -> bool:
         return self.reg_quotient <= max(self.reg_colon_shifted, self.reg_sum)
 
+    @classmethod
+    def of(
+        cls, ideal: MonomialIdeal, m: Iterable[int], reg: Callable[[MonomialIdeal], float]
+    ) -> "SesBoundReport":
+        """The bound for I and the squarefree monomial m, taking each reg(R/J) from ``reg``."""
+        support = frozenset(m)
+        if not support:
+            raise InputError("the monomial must not be 1")
+        return cls(
+            reg(ideal),
+            reg(colon(ideal, support)) + len(support),
+            reg(add_monomial(ideal, support)),
+        )
+
 
 def verify_ses_bound(
     ideal: MonomialIdeal,
@@ -473,10 +469,4 @@ def verify_ses_bound(
     field: FieldSpec = GF2,
     cap: int = DEFAULT_CAP,
 ) -> SesBoundReport:
-    support = frozenset(m)
-    if not support:
-        raise InputError("the monomial must not be 1")
-    reg_quotient = regularity(ideal, field, cap=cap)
-    reg_colon = regularity(colon(ideal, support), field, cap=cap) + len(support)
-    reg_sum = regularity(add_monomial(ideal, support), field, cap=cap)
-    return SesBoundReport(reg_quotient, reg_colon, reg_sum)
+    return SesBoundReport.of(ideal, m, lambda j: regularity(j, field, cap=cap))

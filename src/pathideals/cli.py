@@ -102,13 +102,8 @@ def cmd_nu3(args) -> int:
     return EXIT_OK
 
 
-def _emit_reports(reports, args) -> int:
-    text = reports_to_csv(reports) if args.format == "csv" else reports_to_jsonl(reports)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _exit_status(reports) -> int:
+    """Name every errored and failed report on stderr; 1 if there is any."""
     failed = [r for r in reports if not r.passed]
     errored = [r for r in reports if r.error is not None]
     for r in errored:
@@ -118,6 +113,16 @@ def _emit_reports(reports, args) -> int:
     if failed or errored:
         return EXIT_VERIFY_FAILED
     return EXIT_OK
+
+
+def _emit_reports(reports, args) -> int:
+    text = reports_to_csv(reports) if args.format == "csv" else reports_to_jsonl(reports)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return _exit_status(reports)
 
 
 def cmd_verify(args) -> int:
@@ -175,14 +180,7 @@ def cmd_search(args) -> int:
         fh.write(reports_to_jsonl(summary.reports))
     write_exemplars(summary, args.out)
     sys.stdout.write(summary.histogram_csv())
-    errored = [r for r in summary.reports if r.error is not None]
-    for r in errored:
-        print(f"error: {r.source}: {r.error}", file=sys.stderr)
-    failed = [r for r in summary.reports if not r.passed]
-    if failed:
-        print(f"{len(failed)} of {len(summary.reports)} checks failed", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
+    return _exit_status(summary.reports)
 
 
 def build_parser() -> argparse.ArgumentParser:

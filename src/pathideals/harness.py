@@ -14,18 +14,25 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from multiprocessing import Pool
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .betti import DEFAULT_CAP, FieldSpec, GF2, betti_hochster, regularity, verify_ses_bound
+from .betti import DEFAULT_CAP, GF2, NEG_INF, BettiTable, FieldSpec, SesBoundReport, betti_hochster
 from .errors import InputError, PathIdealsError
 from .generators import SplitMix64, graph_from_rng, tree_from_rng, unicyclic_from_rng
 from .graphs import Graph, classify, graph_from_json_obj, graph_to_json_obj, to_edge_list
-from .ideals import add_monomial, colon, edge_colon_closed_form, path_ideal, vertex_colon_closed_form
+from .ideals import (
+    MonomialIdeal,
+    add_monomial,
+    colon,
+    edge_colon_closed_form,
+    path_ideal,
+    vertex_colon_closed_form,
+)
 from .matching import check_nu3_broom_drop, nu3
 
 FAMILIES = ("tree", "unicyclic", "random")
-WHICH_CHOICES = ("all", "lower", "tree", "unicyclic", "colon", "monotone", "ses", "broom")
 
 
 @dataclass(frozen=True)
@@ -105,177 +112,198 @@ def reports_to_csv(reports: Iterable[VerificationReport]) -> str:
     return CSV_HEADER + "\n" + "".join(r.csv_row() + "\n" for r in reports)
 
 
-def _base_report(graph: Graph, source: str, **extra) -> VerificationReport:
-    return VerificationReport(
-        graph=graph_to_json_obj(graph),
-        source=source,
-        classification=classify(graph).kind,
-        n=graph.n,
-        **extra,
-    )
+# -- the per-graph context and the checks --------------------------------------------
 
 
-def _with_invariants(report: VerificationReport, graph: Graph, field_: FieldSpec, cap: int) -> None:
-    report.reg = regularity(path_ideal(graph, 3), field_, cap=cap)
-    report.nu3 = nu3(graph)[0]
-    report.defect = report.reg - 2 * report.nu3
+@dataclass
+class GraphContext:
+    """One graph's check inputs plus its Betti tables, one per distinct ideal.
+
+    A context lives for one ``verify_graph`` call or one batch instance, so
+    no table outlives the checks of its graph.
+    """
+
+    graph: Graph
+    field_: FieldSpec = GF2
+    cap: int = DEFAULT_CAP
+    source: str = "graph"
+    kind: str = field(init=False)
+    ideal: MonomialIdeal = field(init=False)  # I3(G)
+    tables: dict[MonomialIdeal, BettiTable] = field(init=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.kind = classify(self.graph).kind
+        self.ideal = path_ideal(self.graph, 3)
+
+    def table(self, ideal: MonomialIdeal) -> BettiTable:
+        if ideal not in self.tables:
+            self.tables[ideal] = betti_hochster(ideal, self.field_, cap=self.cap)
+        return self.tables[ideal]
+
+    def reg(self, ideal: MonomialIdeal):
+        """reg(R/I); -inf for the unit ideal."""
+        return NEG_INF if ideal.is_unit else self.table(ideal).regularity()
+
+    @cached_property
+    def nu3(self) -> int:
+        return nu3(self.graph)[0]
+
+    def report(self, *checks: CheckResult, **extra) -> VerificationReport:
+        return VerificationReport(
+            graph_to_json_obj(self.graph), self.source, self.kind, self.graph.n,
+            checks=list(checks), **extra,
+        )
+
+    def invariant_report(self) -> VerificationReport:
+        reg = self.reg(self.ideal)
+        return self.report(reg=reg, nu3=self.nu3, defect=reg - 2 * self.nu3)
 
 
-# -- single-graph verifiers ------------------------------------------------------
-
-
-def verify_lower_bound(
-    graph: Graph, field_: FieldSpec = GF2, cap: int = DEFAULT_CAP, source: str = "graph"
-) -> VerificationReport:
+def lower_bound(ctx: GraphContext) -> VerificationReport:
     """reg(R/I3) >= 2 nu3, for arbitrary graphs."""
-    report = _base_report(graph, source)
-    _with_invariants(report, graph, field_, cap)
-    report.checks.append(
-        CheckResult(
-            "lower_bound",
-            report.reg >= 2 * report.nu3,
-            f"reg={report.reg} >= 2*nu3={2 * report.nu3}",
-        )
-    )
-    return report
+    r = ctx.invariant_report()
+    r.checks.append(CheckResult("lower_bound", r.reg >= 2 * r.nu3, f"reg={r.reg} >= 2*nu3={2 * r.nu3}"))
+    return r
 
 
-def verify_tree_equality(
-    graph: Graph, field_: FieldSpec = GF2, cap: int = DEFAULT_CAP, source: str = "graph"
-) -> VerificationReport:
+def tree_equality(ctx: GraphContext) -> VerificationReport:
     """reg(R/I3) == 2 nu3 for trees (and forests, component-wise additive)."""
-    report = _base_report(graph, source)
-    if report.classification not in ("tree", "forest"):
-        raise InputError(f"tree equality check requires a tree/forest, got {report.classification}")
-    _with_invariants(report, graph, field_, cap)
-    report.checks.append(
-        CheckResult(
-            "tree_equality",
-            report.defect == 0,
-            f"reg={report.reg}, 2*nu3={2 * report.nu3}",
-        )
-    )
-    return report
+    if ctx.kind not in ("tree", "forest"):
+        raise InputError(f"tree equality check requires a tree/forest, got {ctx.kind}")
+    r = ctx.invariant_report()
+    r.checks.append(CheckResult("tree_equality", r.defect == 0, f"reg={r.reg}, 2*nu3={2 * r.nu3}"))
+    return r
 
 
-def verify_unicyclic_sandwich(
-    graph: Graph, field_: FieldSpec = GF2, cap: int = DEFAULT_CAP, source: str = "graph"
-) -> VerificationReport:
+def unicyclic_sandwich(ctx: GraphContext) -> VerificationReport:
     """2 nu3 <= reg(R/I3) <= 2 nu3 + 2 for connected one-cycle non-cycle graphs."""
-    report = _base_report(graph, source)
-    if report.classification != "unicyclic":
+    if ctx.kind != "unicyclic":
         raise InputError(
-            f"unicyclic sandwich check requires a non-cycle unicyclic graph, got {report.classification}"
+            f"unicyclic sandwich check requires a non-cycle unicyclic graph, got {ctx.kind}"
         )
-    _with_invariants(report, graph, field_, cap)
-    report.checks.append(
-        CheckResult("sandwich_lower", report.defect >= 0, f"defect={report.defect}")
-    )
-    report.checks.append(
-        CheckResult("sandwich_upper", report.defect <= 2, f"defect={report.defect}")
-    )
-    return report
+    r = ctx.invariant_report()
+    detail = f"defect={r.defect}"
+    r.checks += [CheckResult("sandwich_lower", r.defect >= 0, detail),
+                 CheckResult("sandwich_upper", r.defect <= 2, detail)]
+    return r
 
 
-def verify_betti_monotonicity(
-    graph: Graph,
-    vertices: Iterable[int],
-    field_: FieldSpec = GF2,
-    cap: int = DEFAULT_CAP,
-    source: str = "graph",
-) -> VerificationReport:
-    """Entrywise Betti monotonicity under induced subgraphs, plus regularity."""
-    report = _base_report(graph, source)
-    keep = sorted(set(vertices))
-    sub, _ = graph.induced_subgraph(keep)
-    table_g = betti_hochster(path_ideal(graph, 3), field_, cap=cap)
-    table_h = betti_hochster(path_ideal(sub, 3), field_, cap=cap)
-    report.reg = table_g.regularity()
-    report.checks.append(
-        CheckResult(
-            "betti_monotone",
-            table_h.entrywise_leq(table_g),
-            f"subgraph on {len(keep)} vertices",
-        )
-    )
-    report.checks.append(
-        CheckResult(
-            "regularity_monotone",
-            table_h.regularity() <= table_g.regularity(),
-            f"reg_sub={table_h.regularity()} <= reg={table_g.regularity()}",
-        )
-    )
-    return report
-
-
-def verify_colon_identities(
-    graph: Graph, edge: tuple[int, int], source: str = "graph"
-) -> VerificationReport:
+def colon_identities(ctx: GraphContext, edge: tuple[int, int]) -> VerificationReport:
     """Both colon decompositions of the 3-path ideal at an edge, exactly."""
     x, y = edge
-    if not graph.has_edge(x, y):
+    if not ctx.graph.has_edge(x, y):
         raise InputError(f"({x},{y}) is not an edge")
-    report = _base_report(graph, source)
-    ideal = path_ideal(graph, 3)
-    lhs = colon(ideal, {x, y})
-    rhs = edge_colon_closed_form(graph, x, y)
-    report.checks.append(
-        CheckResult("colon_by_edge", lhs == rhs, f"edge=({x},{y})")
-    )
-    with_edge = add_monomial(ideal, {x, y})
+    same = colon(ctx.ideal, {x, y}) == edge_colon_closed_form(ctx.graph, x, y)
+    report = ctx.report(CheckResult("colon_by_edge", same, f"edge=({x},{y})"))
+    with_edge = add_monomial(ctx.ideal, {x, y})
     for a, b in ((x, y), (y, x)):
-        lhs2 = colon(with_edge, {a})
-        rhs2 = vertex_colon_closed_form(graph, a, b)
-        report.checks.append(
-            CheckResult(f"colon_by_vertex_{a}", lhs2 == rhs2, f"edge=({a},{b})")
-        )
+        same = colon(with_edge, {a}) == vertex_colon_closed_form(ctx.graph, a, b)
+        report.checks.append(CheckResult(f"colon_by_vertex_{a}", same, f"edge=({a},{b})"))
     return report
 
 
-def verify_ses_edges(
-    graph: Graph,
-    edges: Iterable[tuple[int, int]] | None = None,
-    field_: FieldSpec = GF2,
-    cap: int = DEFAULT_CAP,
-    source: str = "graph",
-) -> VerificationReport:
+def ses_edges(ctx: GraphContext, edges: Iterable[tuple[int, int]]) -> VerificationReport:
     """Short-exact-sequence regularity bound for edge monomials."""
-    report = _base_report(graph, source)
-    ideal = path_ideal(graph, 3)
-    todo = list(edges) if edges is not None else list(graph.edges)
+    todo = list(edges)
     failures = []
     for u, v in todo:
-        ses = verify_ses_bound(ideal, {u, v}, field_, cap=cap)
+        ses = SesBoundReport.of(ctx.ideal, {u, v}, ctx.reg)
         if not ses.holds:
             failures.append(((u, v), ses))
     detail = f"{len(todo)} edge(s) checked"
     if failures:
         detail += f"; first failure at {failures[0][0]}: {failures[0][1]}"
-    report.checks.append(CheckResult("ses_bound", not failures, detail))
-    return report
+    return ctx.report(CheckResult("ses_bound", not failures, detail))
 
 
-def verify_monotone_deletions(
-    graph: Graph, field_: FieldSpec = GF2, cap: int = DEFAULT_CAP, source: str = "graph"
-) -> VerificationReport:
-    """Betti monotonicity for every single-vertex deletion of the graph."""
-    report = _base_report(graph, source)
-    table_g = betti_hochster(path_ideal(graph, 3), field_, cap=cap)
-    report.reg = table_g.regularity()
-    bad = []
-    for v in range(graph.n):
-        sub, _ = graph.induced_subgraph(w for w in range(graph.n) if w != v)
-        table_h = betti_hochster(path_ideal(sub, 3), field_, cap=cap)
-        if not table_h.entrywise_leq(table_g):
-            bad.append(v)
-    report.checks.append(
-        CheckResult(
-            "betti_monotone_deletions",
-            not bad,
-            f"{graph.n} deletions checked" + (f"; violated at {bad}" if bad else ""),
-        )
+def betti_monotonicity(ctx: GraphContext, vertices: Iterable[int]) -> VerificationReport:
+    """Entrywise Betti monotonicity under induced subgraphs, plus regularity."""
+    sub, _ = ctx.graph.induced_subgraph(vertices)
+    table_g, table_h = ctx.table(ctx.ideal), ctx.table(path_ideal(sub, 3))
+    reg_g, reg_h = table_g.regularity(), table_h.regularity()
+    return ctx.report(
+        CheckResult("betti_monotone", table_h.entrywise_leq(table_g), f"subgraph on {sub.n} vertices"),
+        CheckResult("regularity_monotone", reg_h <= reg_g, f"reg_sub={reg_h} <= reg={reg_g}"),
+        reg=reg_g,
     )
-    return report
+
+
+def monotone_deletions(ctx: GraphContext) -> VerificationReport:
+    """Betti monotonicity for every single-vertex deletion of the graph."""
+    n, table_g = ctx.graph.n, ctx.table(ctx.ideal)
+    deleted = (ctx.table(path_ideal(ctx.graph.delete([v]), 3)) for v in range(n))
+    bad = [v for v, table_h in enumerate(deleted) if not table_h.entrywise_leq(table_g)]
+    detail = f"{n} deletions checked" + (f"; violated at {bad}" if bad else "")
+    return ctx.report(CheckResult("betti_monotone_deletions", not bad, detail), reg=table_g.regularity())
+
+
+def broom_drop(ctx: GraphContext) -> VerificationReport:
+    """nu3 drops by at most one when the broom vertex's edge is removed."""
+    drop = check_nu3_broom_drop(ctx.graph)
+    detail = f"edge={drop.edge}, nu3_remainder={drop.nu3_remainder}, nu3={drop.nu3_graph}"
+    return ctx.report(CheckResult("broom_edge_drop", drop.holds, detail), nu3=drop.nu3_graph)
+
+
+# -- the registry --------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Check:
+    """How one ``--which`` selector runs.
+
+    ``in_all`` says whether ``all`` runs the check on a graph; ``on_graph``
+    runs it on an explicit graph (every edge or every deletion);
+    ``on_instance`` runs it on a batch instance, drawing any edge or vertex
+    subset from the instance's random stream.
+    """
+
+    in_all: Callable[[GraphContext], bool]
+    on_graph: Callable[[GraphContext], list[VerificationReport]]
+    on_instance: Callable[[GraphContext, SplitMix64], VerificationReport]
+
+
+def _whole_graph(in_all, run) -> Check:
+    """A check that runs the same way on explicit graphs and batch instances."""
+    return Check(in_all, lambda ctx: [run(ctx)], lambda ctx, rng: run(ctx))
+
+
+def _random_edge(ctx: GraphContext, rng: SplitMix64, name: str, run) -> VerificationReport:
+    edges = ctx.graph.edges
+    if not edges:
+        return ctx.report(CheckResult(name, True, "no edges"))
+    return run(ctx, edges[rng.below(len(edges))])
+
+
+def _always(ctx: GraphContext) -> bool:
+    return True
+
+
+# Insertion order is the order of the reports under ``--which all``.
+CHECKS: dict[str, Check] = {
+    "lower": _whole_graph(_always, lower_bound),
+    "tree": _whole_graph(lambda ctx: ctx.kind in ("tree", "forest"), tree_equality),
+    "unicyclic": _whole_graph(lambda ctx: ctx.kind == "unicyclic", unicyclic_sandwich),
+    "colon": Check(
+        _always,
+        lambda ctx: [colon_identities(ctx, edge) for edge in ctx.graph.edges],
+        lambda ctx, rng: _random_edge(ctx, rng, "colon_by_edge", colon_identities),
+    ),
+    "ses": Check(
+        _always,
+        lambda ctx: [ses_edges(ctx, ctx.graph.edges)],
+        lambda ctx, rng: _random_edge(ctx, rng, "ses_bound", lambda ctx, e: ses_edges(ctx, [e])),
+    ),
+    "monotone": Check(
+        _always,
+        lambda ctx: [monotone_deletions(ctx)],
+        lambda ctx, rng: betti_monotonicity(ctx, [v for v in range(ctx.graph.n) if rng.below(2) == 0]),
+    ),
+    "broom": _whole_graph(
+        lambda ctx: ctx.kind == "tree" and any(len(ctx.graph.adj[v]) >= 2 for v in range(ctx.graph.n)),
+        broom_drop,
+    ),
+}
+WHICH_CHOICES = ("all", *CHECKS)
 
 
 def verify_graph(
@@ -288,38 +316,13 @@ def verify_graph(
     """Run the selected checks on one explicit graph."""
     if which not in WHICH_CHOICES:
         raise InputError(f"unknown check selector {which!r}")
-    kind = classify(graph).kind
-    reports = []
-    if which in ("all", "lower"):
-        reports.append(verify_lower_bound(graph, field_, cap, source))
-    if which == "tree" or (which == "all" and kind in ("tree", "forest")):
-        reports.append(verify_tree_equality(graph, field_, cap, source))
-    if which == "unicyclic" or (which == "all" and kind == "unicyclic"):
-        reports.append(verify_unicyclic_sandwich(graph, field_, cap, source))
-    if which in ("all", "colon"):
-        for edge in graph.edges:
-            reports.append(verify_colon_identities(graph, edge, source))
-    if which in ("all", "ses"):
-        reports.append(verify_ses_edges(graph, None, field_, cap, source))
-    if which in ("all", "monotone"):
-        reports.append(verify_monotone_deletions(graph, field_, cap, source))
-    if which == "broom" or (
-        which == "all"
-        and kind == "tree"
-        and any(len(graph.adj[v]) >= 2 for v in range(graph.n))
-    ):
-        drop = check_nu3_broom_drop(graph)
-        report = _base_report(graph, source)
-        report.nu3 = drop.nu3_graph
-        report.checks.append(
-            CheckResult(
-                "broom_edge_drop",
-                drop.holds,
-                f"edge={drop.edge}, nu3_remainder={drop.nu3_remainder}, nu3={drop.nu3_graph}",
-            )
-        )
-        reports.append(report)
-    return reports
+    ctx = GraphContext(graph, field_, cap, source)
+    return [
+        report
+        for name, check in CHECKS.items()
+        if which == name or (which == "all" and check.in_all(ctx))
+        for report in check.on_graph(ctx)
+    ]
 
 
 # -- randomized families -----------------------------------------------------------
@@ -372,55 +375,31 @@ def generate_instance(spec: BatchSpec, k: int) -> tuple[Graph, SplitMix64]:
             if classify(graph).kind == "unicyclic":
                 return graph, rng
     p = spec.p_values[k % len(spec.p_values)]
-    return graph_from_rng(n, p, rng), rng
+    graph = graph_from_rng(n, p, rng)
+    # A colon batch picks an edge, so it redraws edgeless graphs; n = 1 has none.
+    while spec.which == "colon" and n >= 2 and not graph.edges:
+        graph = graph_from_rng(n, p, rng)
+    return graph, rng
 
 
-def _default_which(spec: BatchSpec) -> str:
-    if spec.which != "family":
-        return spec.which
-    return {"tree": "tree", "unicyclic": "unicyclic", "random": "lower"}[spec.family]
+_FAMILY_CHECK = {"tree": "tree", "unicyclic": "unicyclic", "random": "lower"}
+
+
+def _batch_check(spec: BatchSpec) -> Check:
+    name = _FAMILY_CHECK[spec.family] if spec.which == "family" else spec.which
+    if name not in CHECKS:
+        raise InputError(f"unknown batch check {name!r}")
+    return CHECKS[name]
 
 
 def run_instance(spec: BatchSpec, k: int) -> VerificationReport:
     started = time.perf_counter()
     graph, rng = generate_instance(spec, k)
-    which = _default_which(spec)
-    source = f"{spec.family} n={graph.n} seed={spec.seed + k}"
+    ctx = GraphContext(graph, spec.field_, spec.cap, f"{spec.family} n={graph.n} seed={spec.seed + k}")
     try:
-        if which == "tree":
-            report = verify_tree_equality(graph, spec.field_, spec.cap, source)
-        elif which == "unicyclic":
-            report = verify_unicyclic_sandwich(graph, spec.field_, spec.cap, source)
-        elif which == "lower":
-            report = verify_lower_bound(graph, spec.field_, spec.cap, source)
-        elif which == "colon":
-            if spec.family == "random":
-                p = spec.p_values[k % len(spec.p_values)]
-                while not graph.edges:
-                    graph = graph_from_rng(spec.instance_n(k), p, rng)
-            if not graph.edges:
-                report = _base_report(graph, source)
-                report.checks.append(CheckResult("colon_by_edge", True, "no edges"))
-            else:
-                edge = graph.edges[rng.below(len(graph.edges))]
-                report = verify_colon_identities(graph, edge, source)
-        elif which == "ses":
-            if not graph.edges:
-                report = _base_report(graph, source)
-                report.checks.append(CheckResult("ses_bound", True, "no edges"))
-            else:
-                edge = graph.edges[rng.below(len(graph.edges))]
-                report = verify_ses_edges(graph, [edge], spec.field_, spec.cap, source)
-        elif which == "monotone":
-            subset = [v for v in range(graph.n) if rng.below(2) == 0]
-            report = verify_betti_monotonicity(graph, subset, spec.field_, spec.cap, source)
-        elif which == "broom":
-            report = verify_graph(graph, "broom", spec.field_, spec.cap, source)[0]
-        else:
-            raise InputError(f"unknown batch check {which!r}")
+        report = _batch_check(spec).on_instance(ctx, rng)
     except PathIdealsError as exc:
-        report = _base_report(graph, source)
-        report.error = f"{type(exc).__name__}: {exc}"
+        report = ctx.report(error=f"{type(exc).__name__}: {exc}")
     report.family = spec.family
     report.seed = spec.seed + k
     report.index = k

@@ -2,7 +2,9 @@
 
 These deliberately share no search logic with the package: cubic path
 enumeration, subset enumeration for matchings straight from the definition,
-and rational Gaussian elimination for matrix ranks.
+and rational Gaussian elimination for matrix ranks. The one exception is the
+unpruned Hochster sum, which reuses the package's public homology routine so
+that it differs from ``betti_hochster`` only in skipping no cone.
 """
 
 from __future__ import annotations
@@ -10,7 +12,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from pathideals.betti import GF2, BettiTable, FieldSpec, reduced_homology_dims
 from pathideals.graphs import Graph
+from pathideals.ideals import MonomialIdeal, stanley_reisner
 
 
 def enumerate_3paths_brute(graph: Graph) -> list[tuple[int, int, int]]:
@@ -67,3 +71,20 @@ def rank_fraction(mat: list[list[int]]) -> int:
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def betti_hochster_unpruned(ideal: MonomialIdeal, field: FieldSpec = GF2) -> BettiTable:
+    """Betti table of R/I by Hochster's formula over every vertex subset W.
+
+    beta_{i,j} sums dim H~_{j-i-1}(Delta_W) over |W| = j, with Delta the
+    Stanley-Reisner complex; cones are summed too, not skipped.
+    """
+    delta = stanley_reisner(ideal)
+    table = {(0, 0): 1}
+    for j in range(1, ideal.n + 1):
+        for w in itertools.combinations(range(ideal.n), j):
+            # dims lists degrees -1..j-1, and degree d lands in i = j - 1 - d
+            for d, h in enumerate(reduced_homology_dims(delta, w, field), start=-1):
+                if h and j - 1 - d >= 1:
+                    table[(j - 1 - d, j)] = table.get((j - 1 - d, j), 0) + h
+    return BettiTable.from_dict(table)

@@ -29,7 +29,7 @@ from pathideals.ideals import (
     zero_ideal,
 )
 
-from oracles import rank_fraction
+from oracles import betti_hochster_unpruned, rank_fraction
 
 P4 = Graph(4, ((0, 1), (1, 2), (2, 3)))
 
@@ -201,7 +201,7 @@ def test_oracle_equivalence_arbitrary_squarefree_ideals(i):
     # augmentation conventions much harder than path ideals do
     table = betti_hochster(i)
     assert table == betti_koszul_oracle(i)
-    assert table == betti_hochster(i, prune=False)
+    assert table == betti_hochster_unpruned(i)
     assert table.projective_dimension() <= i.n
     assert table.regularity() <= i.n
 
@@ -214,11 +214,11 @@ def test_oracle_equivalence_arbitrary_ideals_odd_characteristic(i):
 
 
 def test_cone_pruning_soundness():
-    # pruning on/off must agree entrywise on 100 random instances
+    # the pruned sum must agree entrywise with the unpruned one on 100 random instances
     for k in range(100):
         g = random_graph(1 + k % 8, (0.2, 0.4)[k % 2], seed=5000 + k)
         i3 = path_ideal(g, 3)
-        assert betti_hochster(i3, prune=True) == betti_hochster(i3, prune=False)
+        assert betti_hochster(i3) == betti_hochster_unpruned(i3)
 
 
 @given(graph_keys)
@@ -341,3 +341,11 @@ def test_field_spec():
         FieldSpec.parse("gf0")
     with pytest.raises(InputError):
         FieldSpec.parse("gf1")
+
+
+def test_field_spec_rejects_primes_the_int64_kernel_cannot_hold():
+    assert FieldSpec(2**31 - 1).token == "gf2147483647"
+    # 2^61 - 1 is prime; trial division up to its square root would take
+    # minutes, so the bound must be checked first
+    with pytest.raises(InputError, match=r"p <= 2\^31"):
+        FieldSpec(2**61 - 1)

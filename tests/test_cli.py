@@ -204,3 +204,52 @@ def test_failed_checks_exit_one(capsys):
     assert _emit_reports([report], args) == 1
     captured = capsys.readouterr()
     assert "1 of 1 checks failed" in captured.err
+
+
+def test_search_with_errored_instances_exits_one(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "search", "--family", "tree", "--n", "8..8", "--count", "3",
+        "--cap", "5", "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert out == "defect,count\n"
+    assert err.count("CapacityError") == 3
+
+
+def test_random_colon_batch_at_one_vertex_terminates():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "pathideals.cli", "verify", "--family", "random",
+         "--which", "colon", "--n", "1..1", "--count", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert [json.loads(line)["checks"][0]["details"] for line in done.stdout.splitlines()] == [
+        "no edges", "no edges"]
+
+
+def test_reg_rejects_primes_above_two_to_the_31(capsys):
+    code, out, err = run(capsys, "reg", "--field", "gf1000000000039", CATERPILLAR)
+    assert code == 2 and out == ""
+    assert "p <= 2^31" in err
+
+
+@pytest.mark.parametrize("path", [CATERPILLAR, C5_PENDANT, C6_PENDANT, C7_TAIL])
+def test_reg_largest_allowed_prime_gives_the_rational_table(capsys, path):
+    from pathideals.betti import QQ, betti_hochster
+    from pathideals.graphs import load_graph
+    from pathideals.ideals import path_ideal
+
+    code, out, _ = run(capsys, "reg", "--format", "json", "--field", "gf2147483647", path)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["field"] == "gf2147483647"
+    del obj["field"]
+    expected = betti_hochster(path_ideal(load_graph(path), 3), QQ).to_json_obj(QQ)
+    del expected["field"]
+    assert obj == expected

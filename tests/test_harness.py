@@ -5,26 +5,25 @@ import pytest
 from pathideals.errors import InputError
 from pathideals.graphs import Graph, classify, graph_from_json_obj
 from pathideals.harness import (
+    CHECKS,
+    WHICH_CHOICES,
     BatchSpec,
+    GraphContext,
+    betti_monotonicity,
     classify_defects,
+    colon_identities,
     generate_instance,
     reports_to_csv,
     reports_to_jsonl,
     run_batch,
-    verify_betti_monotonicity,
-    verify_colon_identities,
     verify_graph,
-    verify_lower_bound,
-    verify_ses_edges,
-    verify_tree_equality,
-    verify_unicyclic_sandwich,
 )
 
 P5 = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
 
 
 def test_lower_bound_report(caterpillar):
-    report = verify_lower_bound(caterpillar, source="caterpillar")
+    (report,) = verify_graph(caterpillar, "lower", source="caterpillar")
     assert report.passed
     assert (report.reg, report.nu3, report.defect) == (4, 2, 0)
     assert report.classification == "tree"
@@ -32,55 +31,56 @@ def test_lower_bound_report(caterpillar):
 
 
 def test_tree_equality_report():
-    report = verify_tree_equality(P5)
+    (report,) = verify_graph(P5, "tree")
     assert report.passed and report.reg == 2 and report.nu3 == 1
     forest = Graph(6, ((0, 1), (1, 2), (3, 4), (4, 5)))
-    forest_report = verify_tree_equality(forest)
+    (forest_report,) = verify_graph(forest, "tree")
     assert forest_report.passed and forest_report.reg == 4
 
 
 def test_tree_equality_rejects_non_trees(c5_pendant):
     with pytest.raises(InputError):
-        verify_tree_equality(c5_pendant)
+        verify_graph(c5_pendant, "tree")
 
 
 def test_unicyclic_sandwich_fixture_defects(c5_pendant, c6_pendant, c7_tail):
-    assert verify_unicyclic_sandwich(c5_pendant).defect == 0
-    assert verify_unicyclic_sandwich(c6_pendant).defect == 1
-    report = verify_unicyclic_sandwich(c7_tail)
+    assert verify_graph(c5_pendant, "unicyclic")[0].defect == 0
+    assert verify_graph(c6_pendant, "unicyclic")[0].defect == 1
+    (report,) = verify_graph(c7_tail, "unicyclic")
     assert report.defect == 2 and report.passed
 
 
 def test_unicyclic_sandwich_rejects_cycles_and_trees():
     c7 = Graph(7, tuple((i, (i + 1) % 7) for i in range(7)))
     with pytest.raises(InputError):
-        verify_unicyclic_sandwich(c7)
+        verify_graph(c7, "unicyclic")
     with pytest.raises(InputError):
-        verify_unicyclic_sandwich(P5)
+        verify_graph(P5, "unicyclic")
 
 
 def test_betti_monotonicity_full_subset_is_equality(caterpillar):
-    report = verify_betti_monotonicity(caterpillar, range(caterpillar.n))
+    report = betti_monotonicity(GraphContext(caterpillar), range(caterpillar.n))
     assert report.passed
 
 
 def test_betti_monotonicity_cycle_inside_tail_fixture(c7_tail):
     cycle = classify(c7_tail).cycle
-    report = verify_betti_monotonicity(c7_tail, cycle)
+    report = betti_monotonicity(GraphContext(c7_tail), cycle)
     assert report.passed
 
 
 def test_colon_identities_every_edge(caterpillar):
+    ctx = GraphContext(caterpillar)
     for edge in caterpillar.edges:
-        report = verify_colon_identities(caterpillar, edge)
+        report = colon_identities(ctx, edge)
         assert report.passed, edge
         assert len(report.checks) == 3
     with pytest.raises(InputError):
-        verify_colon_identities(caterpillar, (0, 5))
+        colon_identities(ctx, (0, 5))
 
 
 def test_ses_edges_report(caterpillar):
-    report = verify_ses_edges(caterpillar)
+    (report,) = verify_graph(caterpillar, "ses")
     assert report.passed
     assert "6 edge(s) checked" in report.checks[0].details
 
@@ -182,3 +182,32 @@ def test_classify_defects_and_exemplars(tmp_path):
     ]
     text = (tmp_path / "tree_n4_defect0.txt").read_text()
     assert len(text.strip().splitlines()) == 3  # a 4-vertex tree has 3 edges
+
+
+def test_verify_graph_all_computes_each_betti_table_once(monkeypatch, c7_tail):
+    from pathideals import harness
+
+    calls = []
+    real = harness.betti_hochster
+
+    def counting(ideal, field, *args, **kwargs):
+        calls.append((ideal, field))
+        return real(ideal, field, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "betti_hochster", counting)
+    verify_graph(c7_tail, "all")
+    # I3(G), 11 edge colons, 11 edge sums and 11 vertex deletions
+    assert len(calls) == 34
+    assert len(set(calls)) == len(calls)
+    verify_graph(c7_tail, "all")  # nothing is kept between calls
+    assert len(calls) == 68
+
+
+def test_registry_order_is_the_report_order(caterpillar):
+    assert WHICH_CHOICES == ("all", *CHECKS)
+    reports = verify_graph(caterpillar, "all")
+    first = [r.checks[0].name for r in reports]
+    m = len(caterpillar.edges)
+    assert first == ["lower_bound", "tree_equality"] + ["colon_by_edge"] * m + [
+        "ses_bound", "betti_monotone_deletions", "broom_edge_drop"]
+
