@@ -11,13 +11,16 @@ routes are provided:
   over squarefree degrees. It shares only the low-level rank routines with
   the main path and exists to cross-validate it.
 
-Ranks are exact: bitset elimination over GF(2), modular elimination for odd
-primes, and fraction-free (Bareiss) integer elimination for characteristic 0.
+Ranks are exact and come from one reduction by leading column, in two
+kernels: rows packed as int bitsets over GF(2), and sparse {column: entry}
+rows over GF(p) (Python ints mod p) or Q (ints, with Fractions only after a
+pivot other than +-1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -43,7 +46,8 @@ class FieldSpec:
         if c == 0:
             return
         if c > MAX_PRIME:
-            # rank_mod_p multiplies two residues in int64, so p^2 must fit
+            # Python ints cannot overflow; the bound keeps the trial division
+            # below fast (at most 2^15.5 divisions)
             raise InputError(f"GF(p) needs p <= 2^31, got {c}; use q for exact rational arithmetic")
         if c < 2 or any(c % d == 0 for d in range(2, int(c**0.5) + 1)):
             raise InputError(f"characteristic must be 0 or a prime, got {c}")
@@ -91,67 +95,51 @@ def rank_gf2_rows(rows: Iterable[int]) -> int:
     return len(pivot_by_lead)
 
 
-def rank_mod_p(mat: list[list[int]], p: int) -> int:
-    """Rank over GF(p) by dense Gaussian elimination (p prime)."""
-    if not mat or not mat[0]:
-        return 0
-    a = np.asarray(mat, dtype=np.int64) % p
-    n_rows, n_cols = a.shape
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        below = np.nonzero(a[r + 1 :, c])[0] + (r + 1)
-        if below.size:
-            a[below] = (a[below] - np.outer(a[below, c], a[r])) % p
-        r += 1
-    return r
+def _rank_sparse(rows: list[dict[int, int]], char: int) -> int:
+    """Rank of rows given as {column: entry} dicts, over GF(char) or Q if char == 0.
 
-
-def rank_exact(mat: list[list[int]]) -> int:
-    """Rank over the rationals via fraction-free (Bareiss) elimination.
-
-    Pivots of absolute value 1 are preferred so intermediate entries stay
-    small on the sparse +-1 boundary matrices this is used for.
+    The reduction of ``rank_gf2_rows``: a row is reduced by the pivot owning its
+    leading column until it vanishes or leads a column no pivot owns. Entries
+    are cleaned on entry (reduced mod p, zeros dropped), so no pivot is 0.
+    Over Q a pivot of +-1 is its own inverse, which keeps rows in ints on
+    boundary matrices; other pivots are inverted as Fractions.
     """
-    if not mat or not mat[0]:
-        return 0
-    m = [[int(x) for x in row] for row in mat]
-    n_rows, n_cols = len(m), len(m[0])
-    rank, prev = 0, 1
-    for col in range(n_cols):
-        if rank == n_rows:
-            break
-        piv = None
-        for i in range(rank, n_rows):
-            a = m[i][col]
-            if a:
-                if abs(a) == 1:
-                    piv = i
-                    break
-                if piv is None:
-                    piv = i
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
-        pval = prow[col]
-        for i in range(rank + 1, n_rows):
-            row = m[i]
-            a = row[col]
-            for j in range(col + 1, n_cols):
-                row[j] = (pval * row[j] - a * prow[j]) // prev
-            row[col] = 0
-        prev = pval
-        rank += 1
-    return rank
+    pivot_by_lead: dict[int, tuple[dict, int | Fraction]] = {}
+    for row in rows:
+        cur = {c: a % char if char else a for c, a in row.items()}
+        cur = {c: a for c, a in cur.items() if a}
+        while cur:
+            lead = max(cur)
+            piv = pivot_by_lead.get(lead)
+            if piv is None:
+                a = cur[lead]
+                if char:
+                    inv = pow(a, -1, char)
+                else:
+                    inv = a if a in (1, -1) else 1 / Fraction(a)
+                pivot_by_lead[lead] = (cur, inv)
+                break
+            prow, inv = piv
+            f = cur[lead] * inv
+            for c, a in prow.items():
+                v = cur.get(c, 0) - f * a
+                if char:
+                    v %= char
+                if v:
+                    cur[c] = v
+                else:
+                    del cur[c]
+    return len(pivot_by_lead)
+
+
+def rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
+    """Rank over GF(p) (p prime) of rows given as {column: entry} dicts."""
+    return _rank_sparse(rows, p)
+
+
+def rank_exact(rows: list[dict[int, int]]) -> int:
+    """Rank over the rationals of rows given as {column: entry} dicts."""
+    return _rank_sparse(rows, 0)
 
 
 # -- reduced simplicial homology --------------------------------------------------
@@ -195,13 +183,18 @@ def _homology_dims_from_faces(faces: list[int], char: int) -> dict[int, int]:
                 rows.append(bits)
             ranks[d] = rank_gf2_rows(rows)
         else:
-            mat = []
+            rows = []
             for face in by_dim[d]:
-                row = [0] * len(cols)
-                for k, v in enumerate(_bits(face)):
-                    row[cols[face ^ (1 << v)]] = -1 if k & 1 else 1
-                mat.append(row)
-            ranks[d] = rank_exact(mat) if char == 0 else rank_mod_p(mat, char)
+                row = {}
+                sign = 1
+                rest = face
+                while rest:
+                    low = rest & -rest
+                    row[cols[face ^ low]] = sign
+                    sign = -sign
+                    rest ^= low
+                rows.append(row)
+            ranks[d] = rank_exact(rows) if char == 0 else rank_mod_p(rows, char)
     dims = {}
     for d in range(maxd + 1):
         h = len(by_dim[d]) - ranks[d] - ranks[d + 1]
@@ -362,8 +355,8 @@ def betti_hochster(
 def _oracle_homology(faces: list[tuple[int, ...]], char: int) -> dict[int, int]:
     """Homology dims for the oracle; faces given as sorted vertex tuples.
 
-    Deliberately separate from the main route: dense matrices with the
-    (d-1)-faces as rows, sharing only the rank kernels.
+    Deliberately separate from the main route: the (d-1)-faces index the
+    rows, sharing only the rank kernels.
     """
     nonempty = [f for f in faces if f]
     if not nonempty:
@@ -376,12 +369,12 @@ def _oracle_homology(faces: list[tuple[int, ...]], char: int) -> dict[int, int]:
     ranks[0] = 1
     for d in range(1, maxd + 1):
         row_index = {f: i for i, f in enumerate(sorted(by_dim[d - 1]))}
-        mat = [[0] * len(by_dim[d]) for _ in row_index]
+        rows: list[dict[int, int]] = [{} for _ in row_index]
         for col, face in enumerate(sorted(by_dim[d])):
             for k in range(len(face)):
                 facet = face[:k] + face[k + 1 :]
-                mat[row_index[facet]][col] = -1 if k & 1 else 1
-        ranks[d] = rank_exact(mat) if char == 0 else rank_mod_p(mat, char)
+                rows[row_index[facet]][col] = -1 if k & 1 else 1
+        ranks[d] = rank_exact(rows) if char == 0 else rank_mod_p(rows, char)
     dims = {}
     for d in range(maxd + 1):
         h = len(by_dim[d]) - ranks[d] - ranks[d + 1]

@@ -312,7 +312,11 @@ def graph_from_json_obj(obj: dict) -> Graph:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph JSON: {exc}") from exc
     labels = obj.get("labels")
-    return Graph(n, edges, tuple(labels) if labels is not None else None)
+    if labels is None:
+        return Graph(n, edges)
+    if not isinstance(labels, list) or len(labels) != n or not all(isinstance(x, str) for x in labels):
+        raise InputError(f"malformed graph JSON: labels must be a list of {n} strings")
+    return Graph(n, edges, tuple(labels))
 
 
 def parse_graph(text: str) -> Graph:

@@ -2,9 +2,10 @@
 
 These deliberately share no search logic with the package: cubic path
 enumeration, subset enumeration for matchings straight from the definition,
-and rational Gaussian elimination for matrix ranks. The one exception is the
-unpruned Hochster sum, which reuses the package's public homology routine so
-that it differs from ``betti_hochster`` only in skipping no cone.
+and plain dense Gaussian elimination for matrix ranks over Q and GF(p). The
+one exception is the unpruned Hochster sum, which reuses the package's public
+homology routine so that it differs from ``betti_hochster`` only in skipping
+no cone.
 """
 
 from __future__ import annotations
@@ -51,9 +52,14 @@ def nu3_brute(graph: Graph) -> int:
     return best
 
 
-def rank_fraction(mat: list[list[int]]) -> int:
-    """Rank over the rationals by plain Gaussian elimination with Fractions."""
-    rows = [[Fraction(x) for x in row] for row in mat]
+def rank_fraction(mat: list[list[int]], p: int = 0) -> int:
+    """Rank by plain Gaussian elimination: over the rationals with Fractions,
+    or over GF(p) with residues when a prime p is given."""
+
+    def reduce(x):
+        return x % p if p else x
+
+    rows = [[x % p if p else Fraction(x) for x in row] for row in mat]
     if not rows or not rows[0]:
         return 0
     n_cols = len(rows[0])
@@ -64,11 +70,12 @@ def rank_fraction(mat: list[list[int]]) -> int:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         pivot = rows[rank][c]
-        rows[rank] = [x / pivot for x in rows[rank]]
+        scale = pow(pivot, -1, p) if p else 1 / pivot
+        rows[rank] = [reduce(x * scale) for x in rows[rank]]
         for i in range(len(rows)):
             if i != rank and rows[i][c]:
                 factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+                rows[i] = [reduce(x - factor * y) for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pathideals.betti import (
     BettiTable,
@@ -56,29 +56,60 @@ small_int_matrices = st.lists(
 # -- rank kernels ------------------------------------------------------------
 
 
+def sparse(mat):
+    """Dense rows as {column: entry} dicts, explicit zeros kept."""
+    return [dict(enumerate(row)) for row in mat]
+
+
 @given(small_int_matrices)
 def test_rank_exact_matches_fraction_elimination(mat):
-    assert rank_exact(mat) == rank_fraction(mat)
+    assert rank_exact(sparse(mat)) == rank_fraction(mat)
 
 
 @given(small_int_matrices)
 def test_rank_mod_large_prime_matches_rational_rank(mat):
     # entries are tiny, so no minor can be divisible by this prime
-    assert rank_mod_p(mat, 1000003) == rank_fraction(mat)
+    assert rank_mod_p(sparse(mat), 1000003) == rank_fraction(mat)
 
 
 @given(st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=8), min_size=1, max_size=8).filter(
     lambda m: len({len(r) for r in m}) == 1))
 def test_rank_gf2_rows_matches_dense_mod2(mat):
     rows = [sum(bit << c for c, bit in enumerate(r)) for r in mat]
-    assert rank_gf2_rows(rows) == rank_mod_p(mat, 2)
+    assert rank_gf2_rows(rows) == rank_mod_p(sparse(mat), 2)
 
 
 def test_rank_edge_cases():
     assert rank_exact([]) == 0
     assert rank_gf2_rows([0, 0]) == 0
-    assert rank_exact([[0, 0], [0, 0]]) == 0
-    assert rank_exact([[2, 0], [0, 3]]) == 2
+    assert rank_exact(sparse([[0, 0], [0, 0]])) == 0
+    assert rank_exact(sparse([[2, 0], [0, 3]])) == 2
+
+
+def test_rank_cleans_zero_entries():
+    assert rank_exact([{}, {0: 0}]) == 0
+    assert rank_mod_p([{0: 3, 1: 1}], 3) == 1
+    assert rank_mod_p([{0: 2}], 2) == 0
+    assert rank_mod_p([{0: 3}, {1: 6, 2: -9}], 3) == 0
+    # the lead entry vanishes mod p, so the row leads a lower column
+    assert rank_mod_p([{1: 5, 0: 1}, {0: 1}], 5) == 1
+    assert rank_exact([{1: 5, 0: 1}, {0: 1}]) == 2
+
+
+sparse_sign_matrices = st.lists(
+    st.dictionaries(st.integers(0, 11), st.sampled_from((1, -1)), max_size=12),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(sparse_sign_matrices)
+# determinant 3: rank 3 over Q but 2 over GF(3), which random draws rarely hit
+@example([{0: 1, 1: 1, 2: 1}, {0: 1, 1: -1}, {0: 1, 2: -1}])
+def test_rank_of_sparse_sign_matrices(rows):
+    mat = [[row.get(c, 0) for c in range(12)] for row in rows]
+    assert rank_exact(rows) == rank_fraction(mat)
+    assert rank_mod_p(rows, 3) == rank_fraction(mat, 3)
 
 
 # -- reduced homology conventions ----------------------------------------------
@@ -343,7 +374,7 @@ def test_field_spec():
         FieldSpec.parse("gf1")
 
 
-def test_field_spec_rejects_primes_the_int64_kernel_cannot_hold():
+def test_field_spec_checks_the_prime_bound_before_trial_division():
     assert FieldSpec(2**31 - 1).token == "gf2147483647"
     # 2^61 - 1 is prime; trial division up to its square root would take
     # minutes, so the bound must be checked first

@@ -163,6 +163,38 @@ def test_parse_error_exit_code(tmp_path, capsys):
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "nu3", "no-such-file.txt")
     assert code == 2
+    assert err == "input error: [Errno 2] No such file or directory: 'no-such-file.txt'\n"
+
+
+def test_reg_on_a_directory_is_an_input_error(tmp_path, capsys):
+    code, out, err = run(capsys, "reg", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: [Errno 21] Is a directory")
+
+
+def test_reg_on_a_non_utf8_file_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("\u00e9 b\n".encode("latin-1"))
+    code, out, err = run(capsys, "reg", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: 'utf-8' codec can't decode")
+
+
+def test_verify_output_to_a_directory_is_an_input_error(tmp_path, capsys):
+    code, out, err = run(capsys, "verify", CATERPILLAR, "--which", "lower", "--output", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: [Errno 21] Is a directory")
+
+
+def test_search_out_on_an_existing_file_is_an_input_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    code, out, err = run(
+        capsys, "search", "--family", "tree", "--n", "4..5", "--count", "2", "--out", str(taken)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: [Errno 17] File exists")
+    assert taken.read_text() == "keep me\n"
 
 
 def test_capacity_exit_code_and_overrides(capsys, monkeypatch):

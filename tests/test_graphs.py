@@ -240,6 +240,12 @@ def test_parse_graph_sniffs_json(caterpillar):
         parse_graph("{broken json")
 
 
+@pytest.mark.parametrize("labels", ["abc", 5, [1, 2, 3], ["a", "b"], ["a", "b", "c", "d"], {"a": 0}])
+def test_json_labels_must_be_n_strings(labels):
+    with pytest.raises(InputError, match="labels must be a list of 3 strings"):
+        graph_from_json_obj({"n": 3, "edges": [[0, 1], [1, 2]], "labels": labels})
+
+
 def test_vertex_tokens(caterpillar):
     assert caterpillar.vertex_token(0) == "x1"
     assert Graph(2, ((0, 1),)).vertex_token(1) == "1"
