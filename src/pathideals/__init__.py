@@ -15,10 +15,7 @@ from .betti import (
     QQ,
     NEG_INF,
     betti_hochster,
-    betti_koszul_oracle,
-    reduced_homology_dims,
     regularity,
-    verify_ses_bound,
 )
 from .errors import CapacityError, InputError, NoBroomVertexError, PathIdealsError
 from .generators import random_graph, random_tree, random_unicyclic
@@ -34,7 +31,6 @@ from .graphs import (
 )
 from .ideals import (
     MonomialIdeal,
-    SimplicialComplex,
     add,
     add_monomial,
     add_vars,
@@ -43,14 +39,11 @@ from .ideals import (
     minimalize,
     path_ideal,
     path_ideal_within,
-    stanley_reisner,
     vertex_colon_closed_form,
 )
 from .matching import (
     MatchingCertificate,
     check_nu3_broom_drop,
-    check_nu3_monotone,
-    is_induced_3path_matching,
     nu3,
 )
 
@@ -69,19 +62,15 @@ __all__ = [
     "NoBroomVertexError",
     "PathIdealsError",
     "QQ",
-    "SimplicialComplex",
     "add",
     "add_monomial",
     "add_vars",
     "betti_hochster",
-    "betti_koszul_oracle",
     "check_nu3_broom_drop",
-    "check_nu3_monotone",
     "classify",
     "colon",
     "edge_colon_closed_form",
     "find_broom_vertex",
-    "is_induced_3path_matching",
     "load_graph",
     "minimalize",
     "nu3",
@@ -92,9 +81,6 @@ __all__ = [
     "random_graph",
     "random_tree",
     "random_unicyclic",
-    "reduced_homology_dims",
     "regularity",
-    "stanley_reisner",
     "to_edge_list",
-    "verify_ses_bound",
 ]

@@ -1,15 +1,11 @@
 """Exact graded Betti numbers and regularity of squarefree monomial ideals.
 
 Everything is computed for the quotient ring R/I (so beta_{0,0} = 1 and the
-first syzygy layer counts the minimal generators of I). Two independent
-routes are provided:
-
-* ``betti_hochster`` sums reduced homology of induced subcomplexes of the
-  Stanley-Reisner complex over vertex subsets, skipping subsets whose
-  subcomplex is a cone (a vertex lying in no generator inside the subset).
-* ``betti_koszul_oracle`` sums reduced homology of upper Koszul subcomplexes
-  over squarefree degrees. It shares only the low-level rank routines with
-  the main path and exists to cross-validate it.
+first syzygy layer counts the minimal generators of I). ``betti_hochster``
+sums reduced homology of induced subcomplexes of the Stanley-Reisner complex
+over vertex subsets, skipping subsets whose subcomplex is a cone (a vertex
+lying in no generator inside the subset). The test suite referees it with an
+independent upper-Koszul oracle.
 
 Ranks are exact and come from one reduction by leading column, in two
 kernels: rows packed as int bitsets over GF(2), and sparse {column: entry}
@@ -26,11 +22,10 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .ideals import MonomialIdeal, SimplicialComplex, add_monomial, colon
+from .ideals import MonomialIdeal, add_monomial, colon
 
 NEG_INF = float("-inf")
 DEFAULT_CAP = 22
-ORACLE_CAP = 14
 CAP_ENV_VAR = "PATHIDEALS_CAP"
 MAX_PRIME = 1 << 31
 
@@ -145,15 +140,6 @@ def rank_exact(rows: list[dict[int, int]]) -> int:
 # -- reduced simplicial homology --------------------------------------------------
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _homology_dims_from_faces(faces: list[int], char: int) -> dict[int, int]:
     """Reduced homology dims of a complex given its nonempty faces as bitmasks.
 
@@ -201,30 +187,6 @@ def _homology_dims_from_faces(faces: list[int], char: int) -> dict[int, int]:
         if h:
             dims[d] = h
     return dims
-
-
-def _nonempty_submasks(mask: int):
-    sub = mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
-
-
-def reduced_homology_dims(
-    complex_: SimplicialComplex, vertices: Iterable[int], field: FieldSpec = GF2
-) -> list[int]:
-    """Dims of reduced homology of the induced subcomplex, degrees -1..|W|-1."""
-    w = sorted(set(vertices))
-    for v in w:
-        if not (0 <= v < complex_.n):
-            raise InputError(f"vertex {v} out of range n={complex_.n}")
-    wmask = sum(1 << v for v in w)
-    nonfaces = [sum(1 << v for v in nf) for nf in complex_.min_nonfaces]
-    faces = [
-        s for s in _nonempty_submasks(wmask) if not any((g & s) == g for g in nonfaces)
-    ]
-    dims = _homology_dims_from_faces(faces, field.characteristic)
-    return [dims.get(d, 0) for d in range(-1, len(w))]
 
 
 # -- Betti tables -----------------------------------------------------------------
@@ -349,72 +311,6 @@ def betti_hochster(
     return BettiTable.from_dict(table)
 
 
-# -- independent oracle: upper Koszul subcomplexes ---------------------------------
-
-
-def _oracle_homology(faces: list[tuple[int, ...]], char: int) -> dict[int, int]:
-    """Homology dims for the oracle; faces given as sorted vertex tuples.
-
-    Deliberately separate from the main route: the (d-1)-faces index the
-    rows, sharing only the rank kernels.
-    """
-    nonempty = [f for f in faces if f]
-    if not nonempty:
-        return {-1: 1}
-    by_dim: dict[int, list[tuple[int, ...]]] = {}
-    for f in nonempty:
-        by_dim.setdefault(len(f) - 1, []).append(f)
-    maxd = max(by_dim)
-    ranks = [0] * (maxd + 2)
-    ranks[0] = 1
-    for d in range(1, maxd + 1):
-        row_index = {f: i for i, f in enumerate(sorted(by_dim[d - 1]))}
-        rows: list[dict[int, int]] = [{} for _ in row_index]
-        for col, face in enumerate(sorted(by_dim[d])):
-            for k in range(len(face)):
-                facet = face[:k] + face[k + 1 :]
-                rows[row_index[facet]][col] = -1 if k & 1 else 1
-        ranks[d] = rank_exact(rows) if char == 0 else rank_mod_p(rows, char)
-    dims = {}
-    for d in range(maxd + 1):
-        h = len(by_dim[d]) - ranks[d] - ranks[d + 1]
-        if h:
-            dims[d] = h
-    return dims
-
-
-def betti_koszul_oracle(
-    ideal: MonomialIdeal, field: FieldSpec = GF2, cap: int = ORACLE_CAP
-) -> BettiTable:
-    """Betti table of R/I from upper Koszul subcomplexes, for cross-validation.
-
-    For each squarefree degree b with x^b in I, the subcomplex has the faces
-    S inside b with x^(b-S) still in I; its homology in degree d contributes
-    to beta_{d+2, |b|}. Intended for small ambients only.
-    """
-    if ideal.is_unit:
-        raise InputError("Betti table of the unit ideal is not defined")
-    _check_capacity(ideal, cap)
-    table: dict[tuple[int, int], int] = {(0, 0): 1}
-    if ideal.is_zero:
-        return BettiTable.from_dict(table)
-    char = field.characteristic
-    gmasks = [sum(1 << v for v in g) for g in ideal.gens]
-    for b in range(1, 1 << ideal.n):
-        if not any((g & b) == g for g in gmasks):
-            continue
-        faces = [
-            tuple(_bits(s))
-            for s in list(_nonempty_submasks(b)) + [0]
-            if any((g & (b ^ s)) == g for g in gmasks)
-        ]
-        dims = _oracle_homology(faces, char)
-        j = b.bit_count()
-        for d, h in dims.items():
-            table[(d + 2, j)] = table.get((d + 2, j), 0) + h
-    return BettiTable.from_dict(table)
-
-
 # -- regularity and the short-exact-sequence bound ---------------------------------
 
 
@@ -454,12 +350,3 @@ class SesBoundReport:
             reg(colon(ideal, support)) + len(support),
             reg(add_monomial(ideal, support)),
         )
-
-
-def verify_ses_bound(
-    ideal: MonomialIdeal,
-    m: Iterable[int],
-    field: FieldSpec = GF2,
-    cap: int = DEFAULT_CAP,
-) -> SesBoundReport:
-    return SesBoundReport.of(ideal, m, lambda j: regularity(j, field, cap=cap))

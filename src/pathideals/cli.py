@@ -256,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PathIdealsError as exc:

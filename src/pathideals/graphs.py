@@ -332,5 +332,9 @@ def parse_graph(text: str) -> Graph:
 
 
 def load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{exc} in {path}") from exc
+    return parse_graph(text)

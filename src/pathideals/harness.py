@@ -33,6 +33,8 @@ from .ideals import (
 from .matching import check_nu3_broom_drop, nu3
 
 FAMILIES = ("tree", "unicyclic", "random")
+# edge probabilities of the random family, cycled over the instances
+P_VALUES = (0.2, 0.4)
 
 
 @dataclass(frozen=True)
@@ -345,7 +347,6 @@ class BatchSpec:
     field_: FieldSpec = GF2
     which: str = "family"
     cap: int = DEFAULT_CAP
-    p_values: tuple[float, ...] = (0.2, 0.4)
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -374,7 +375,7 @@ def generate_instance(spec: BatchSpec, k: int) -> tuple[Graph, SplitMix64]:
             graph = unicyclic_from_rng(n, rng)
             if classify(graph).kind == "unicyclic":
                 return graph, rng
-    p = spec.p_values[k % len(spec.p_values)]
+    p = P_VALUES[k % len(P_VALUES)]
     graph = graph_from_rng(n, p, rng)
     # A colon batch picks an edge, so it redraws edgeless graphs; n = 1 has none.
     while spec.which == "colon" and n >= 2 and not graph.edges:

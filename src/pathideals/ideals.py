@@ -56,13 +56,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return frozenset() in self.gens
 
-    def contains(self, m: Iterable[int]) -> bool:
-        support = frozenset(m)
-        return any(g <= support for g in self.gens)
-
-    def sorted_gens(self) -> list[tuple[int, ...]]:
-        return sorted(tuple(sorted(g)) for g in self.gens)
-
 
 def zero_ideal(n: int) -> MonomialIdeal:
     return MonomialIdeal(n, frozenset())
@@ -149,68 +142,3 @@ def vertex_colon_closed_form(graph: Graph, x: int, y: int) -> MonomialIdeal:
     rest = set(range(graph.n)) - graph.closed_neighbors(x)
     gens = {frozenset({y})} | h_edges | path_ideal_within(graph, rest, 3).gens
     return MonomialIdeal(graph.n, frozenset(gens))
-
-
-# -- Stanley-Reisner correspondence ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Simplicial complex on {0..n-1} presented by its minimal non-faces.
-
-    A subset is a face iff it contains no minimal non-face. The void complex
-    (no faces at all, minimal non-face = {}) is not representable here; it
-    would correspond to the unit ideal, which is rejected upstream.
-    """
-
-    n: int
-    min_nonfaces: frozenset[Monomial]
-
-    def __post_init__(self) -> None:
-        nonfaces = minimalize(self.min_nonfaces)
-        if frozenset() in nonfaces:
-            raise InputError("the void complex is not representable")
-        for nf in nonfaces:
-            for v in nf:
-                if not (0 <= v < self.n):
-                    raise InputError(f"vertex {v} out of range n={self.n}")
-        object.__setattr__(self, "min_nonfaces", nonfaces)
-
-    def is_face(self, subset: Iterable[int]) -> bool:
-        s = frozenset(subset)
-        return not any(nf <= s for nf in self.min_nonfaces)
-
-
-def stanley_reisner(ideal: MonomialIdeal) -> SimplicialComplex:
-    """Complex whose minimal non-faces are the generators of the ideal."""
-    if ideal.is_unit:
-        raise InputError("the unit ideal has no Stanley-Reisner complex")
-    return SimplicialComplex(ideal.n, ideal.gens)
-
-
-def nonface_ideal(complex_: SimplicialComplex) -> MonomialIdeal:
-    """Inverse of stanley_reisner: the ideal of minimal non-faces."""
-    return MonomialIdeal(complex_.n, complex_.min_nonfaces)
-
-
-# -- serialization ---------------------------------------------------------------
-
-
-def ideal_to_text(ideal: MonomialIdeal, labels: tuple[str, ...] | None = None) -> str:
-    """One generator per line, variable tokens joined by '*' (1 for the unit)."""
-
-    def token(v: int) -> str:
-        return labels[v] if labels is not None else f"x{v + 1}"
-
-    lines = []
-    for gen in ideal.sorted_gens():
-        lines.append("*".join(token(v) for v in gen) if gen else "1")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def ideal_to_json_obj(ideal: MonomialIdeal) -> list[list[int]]:
-    return [list(g) for g in ideal.sorted_gens()]
-
-
-def ideal_from_json_obj(n: int, obj: Iterable[Iterable[int]]) -> MonomialIdeal:
-    return MonomialIdeal(n, frozenset(frozenset(int(v) for v in g) for g in obj))

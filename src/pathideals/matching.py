@@ -1,24 +1,17 @@
 """Exact 3-path induced matching number with certificates.
 
 A family of vertex-disjoint 3-paths is induced when the subgraph spanned by
-the covered vertices has exactly the 2s path edges and nothing else; the
-check below uses that edge-count criterion directly.
+the covered vertices has exactly the 2s path edges and nothing else. The
+solver keeps that invariant by blocking each chosen path's closed
+neighborhood.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .errors import InputError
 from .graphs import Graph, Path3, classify, find_broom_vertex
-
-
-@dataclass(frozen=True)
-class MatchingCheck:
-    ok: bool
-    reason: str | None = None
-    witness: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -37,40 +30,6 @@ class MatchingCertificate:
 
     def to_json_obj(self) -> dict:
         return {"nu3": self.size, "paths": [list(p) for p in self.paths]}
-
-
-def _validate_path(graph: Graph, path: Sequence[int]) -> Path3:
-    if len(path) != 3:
-        raise InputError(f"{tuple(path)} is not a 3-path (needs 3 vertices)")
-    a, b, c = path
-    if len({a, b, c}) != 3:
-        raise InputError(f"{tuple(path)} has repeated vertices")
-    if not (graph.has_edge(a, b) and graph.has_edge(b, c)):
-        raise InputError(f"{tuple(path)} is not a path of the graph")
-    return (a, b, c) if a < c else (c, b, a)
-
-
-def is_induced_3path_matching(graph: Graph, paths: Iterable[Sequence[int]]) -> MatchingCheck:
-    """Check vertex-disjointness and inducedness; report the first violation.
-
-    Inducedness fails exactly when the covered set spans an edge that is not
-    one of the paths' own edges (the count must be 2 per path).
-    """
-    canon = [_validate_path(graph, p) for p in paths]
-    covered: set[int] = set()
-    for p in canon:
-        for v in p:
-            if v in covered:
-                return MatchingCheck(False, "shared vertex", (v,))
-            covered.add(v)
-    path_edges = set()
-    for a, b, c in canon:
-        path_edges.add((min(a, b), max(a, b)))
-        path_edges.add((min(b, c), max(b, c)))
-    for u, v in graph.edges_within(covered):
-        if (u, v) not in path_edges:
-            return MatchingCheck(False, "extra edge in covered set", (u, v))
-    return MatchingCheck(True)
 
 
 def nu3(graph: Graph) -> tuple[int, MatchingCertificate]:
@@ -111,22 +70,6 @@ def nu3(graph: Graph) -> tuple[int, MatchingCertificate]:
 
     search(0, 0, graph.n)
     return best_size, MatchingCertificate(best)
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    nu3_subgraph: int
-    nu3_graph: int
-
-    @property
-    def holds(self) -> bool:
-        return self.nu3_subgraph <= self.nu3_graph
-
-
-def check_nu3_monotone(graph: Graph, vertices: Iterable[int]) -> MonotonicityReport:
-    """nu3 of an induced subgraph never exceeds nu3 of the host graph."""
-    sub, _ = graph.induced_subgraph(vertices)
-    return MonotonicityReport(nu3(sub)[0], nu3(graph)[0])
 
 
 @dataclass(frozen=True)

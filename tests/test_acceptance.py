@@ -10,15 +10,15 @@ from math import comb
 
 import pytest
 
-from pathideals.betti import GF2, QQ, betti_hochster, betti_koszul_oracle, regularity
+from pathideals.betti import GF2, QQ, betti_hochster, regularity
 from pathideals.generators import random_graph
 from pathideals.graphs import Graph, load_graph
 from pathideals.harness import BatchSpec, reports_to_jsonl, run_batch
 from pathideals.ideals import path_ideal
-from pathideals.matching import is_induced_3path_matching, nu3
+from pathideals.matching import nu3
 
 from conftest import fixture_path
-from oracles import nu3_brute
+from oracles import betti_koszul_oracle, is_induced_3path_matching, nu3_brute
 
 FIXTURES = {
     "caterpillar_7": (4, 2),
@@ -82,8 +82,7 @@ def test_criterion_04_unicyclic_sandwich_batch():
 
 
 def test_criterion_05_lower_bound_batch():
-    spec = BatchSpec(family="random", n_lo=4, n_hi=9, count=200, seed=0,
-                     which="lower", p_values=(0.2, 0.4))
+    spec = BatchSpec(family="random", n_lo=4, n_hi=9, count=200, seed=0, which="lower")
     reports = run_batch(spec, jobs=1)
     assert all(r.error is None and r.passed for r in reports)
     _passed(5, "200 Bernoulli graphs, n <= 9, p in {0.2, 0.4}: reg >= 2*nu3")

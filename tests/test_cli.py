@@ -178,6 +178,7 @@ def test_reg_on_a_non_utf8_file_is_an_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "reg", str(bad))
     assert (code, out) == (2, "")
     assert err.startswith("input error: 'utf-8' codec can't decode")
+    assert str(bad) in err
 
 
 def test_verify_output_to_a_directory_is_an_input_error(tmp_path, capsys):

@@ -11,14 +11,9 @@ from pathideals.ideals import (
     add_vars,
     colon,
     edge_colon_closed_form,
-    ideal_from_json_obj,
-    ideal_to_json_obj,
-    ideal_to_text,
     minimalize,
-    nonface_ideal,
     path_ideal,
     path_ideal_within,
-    stanley_reisner,
     unit_ideal,
     vertex_colon_closed_form,
     zero_ideal,
@@ -157,33 +152,3 @@ def test_path_ideal_within_keeps_ambient(caterpillar):
     assert sub.n == caterpillar.n
     assert sub == ideal(7, (0, 1, 6))
     assert path_ideal_within(caterpillar, set(), 3).is_zero
-
-
-def test_stanley_reisner():
-    tri = stanley_reisner(ideal(3, (0, 1, 2)))
-    assert tri.min_nonfaces == {frozenset({0, 1, 2})}
-    assert tri.is_face({0, 1}) and tri.is_face(()) and not tri.is_face({0, 1, 2})
-    full = stanley_reisner(zero_ideal(3))
-    assert full.is_face({0, 1, 2})
-    with pytest.raises(InputError):
-        stanley_reisner(unit_ideal(3))
-    i3 = path_ideal(P4, 3)
-    delta = stanley_reisner(i3)
-    assert delta.is_face({0, 1, 3}) and not delta.is_face({1, 2, 3})
-
-
-@given(gen_sets.filter(lambda gens: frozenset() not in minimalize(gens)))
-def test_stanley_reisner_round_trip(gens):
-    i = MonomialIdeal(7, frozenset(gens))
-    assert nonface_ideal(stanley_reisner(i)) == i
-
-
-def test_serialization(caterpillar):
-    i = ideal(7, (0, 1, 6), (2,))
-    assert ideal_to_text(i) == "x1*x2*x7\nx3\n"
-    assert ideal_to_text(i, labels=caterpillar.labels) == "x1*x2*x7\nx3\n"
-    assert ideal_to_text(unit_ideal(2)) == "1\n"
-    assert ideal_to_text(zero_ideal(2)) == ""
-    obj = ideal_to_json_obj(i)
-    assert obj == [[0, 1, 6], [2]]
-    assert ideal_from_json_obj(7, obj) == i
