@@ -29,6 +29,11 @@ from oracles import (
 )
 
 P4 = Graph(4, ((0, 1), (1, 2), (2, 3)))
+# minimal non-faces of the 6-vertex triangulation of the real projective plane
+RP2_NONFACES = (
+    (0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
+    (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5),
+)
 
 
 def ideal(n, *gens):
@@ -127,12 +132,7 @@ def test_homology_conventions():
 
 
 def test_homology_sees_torsion_only_in_characteristic_two():
-    # 6-vertex triangulation of the real projective plane
-    nonfaces = [
-        (0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
-        (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5),
-    ]
-    cx = ideal(6, *nonfaces)
+    cx = ideal(6, *RP2_NONFACES)
     assert reduced_homology_dims(cx, range(6), GF2) == [0, 0, 1, 1, 0, 0, 0]
     assert reduced_homology_dims(cx, range(6), GF3) == [0] * 7
     assert reduced_homology_dims(cx, range(6), QQ) == [0] * 7
@@ -300,6 +300,14 @@ def test_ses_bound_with_member_monomial():
     assert report.holds
     with pytest.raises(InputError):
         SesBoundReport.of(i, (), regularity)
+
+
+@pytest.mark.parametrize("field, reg_quotient", [(GF2, 3), (GF3, 2), (QQ, 2)])
+def test_ses_bound_takes_the_field_from_reg(field, reg_quotient):
+    # the torsion of RP^2 raises reg(R/I) in characteristic 2 only
+    report = SesBoundReport.of(ideal(6, *RP2_NONFACES), {0}, lambda j: regularity(j, field))
+    assert (report.reg_quotient, report.reg_colon_shifted, report.reg_sum) == (reg_quotient, 3, 2)
+    assert report.holds
 
 
 def test_ses_bound_on_cycle_pendant_edge(c5_pendant):

@@ -11,6 +11,7 @@ from pathideals.graphs import (
     find_broom_vertex,
     graph_from_json_obj,
     graph_to_json_obj,
+    load_graph,
     parse_edge_list,
     parse_graph,
     to_edge_list,
@@ -238,6 +239,16 @@ def test_parse_graph_sniffs_json(caterpillar):
         parse_graph('{"edges": [[0, 1]]}')
     with pytest.raises(InputError):
         parse_graph("{broken json")
+
+
+def test_load_graph_names_the_file_on_undecodable_input(tmp_path):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"caf\xe9 x\n")
+    with pytest.raises(InputError) as info:
+        load_graph(str(bad))
+    message = str(info.value)
+    assert message.startswith("'utf-8' codec can't decode byte 0xe9")
+    assert message.endswith(f" in {bad}")
 
 
 @pytest.mark.parametrize("labels", ["abc", 5, [1, 2, 3], ["a", "b"], ["a", "b", "c", "d"], {"a": 0}])
