@@ -83,4 +83,5 @@ __all__ = [
     "random_unicyclic",
     "regularity",
     "to_edge_list",
+    "vertex_colon_closed_form",
 ]

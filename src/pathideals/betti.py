@@ -7,6 +7,10 @@ over vertex subsets, skipping subsets whose subcomplex is a cone (a vertex
 lying in no generator inside the subset). The test suite referees it with an
 independent upper-Koszul oracle.
 
+The augmented boundary row of every face of the complex is built once per
+ideal, with one column numbering per dimension; each surviving subset selects
+the rows of its faces, which already reference only faces of its subcomplex.
+
 Ranks are exact and come from one reduction by leading column, in two
 kernels: rows packed as int bitsets over GF(2), and sparse {column: entry}
 rows over GF(p) (Python ints mod p) or Q (ints, with Fractions only after a
@@ -140,47 +144,65 @@ def rank_exact(rows: list[dict[int, int]]) -> int:
 # -- reduced simplicial homology --------------------------------------------------
 
 
-def _homology_dims_from_faces(faces: list[int], char: int) -> dict[int, int]:
-    """Reduced homology dims of a complex given its nonempty faces as bitmasks.
+def _boundary_rows(faces: list[int], char: int) -> list:
+    """Augmented boundary row of each nonempty face (bitmask), in the given order.
 
+    Columns are numbered per dimension in the order the faces come, with the
+    empty face as column 0 of dimension -1, so a d-face's row has d+1 nonzeros.
+    Rows are int bitsets if char == 2 and {column: +-1} dicts otherwise. A
+    subcomplex's rows are a subset of these: their columns are its own faces.
+    """
+    ids = {0: 0}
+    counts: dict[int, int] = {}
+    for face in faces:
+        k = face.bit_count()
+        ids[face] = counts.get(k, 0)
+        counts[k] = ids[face] + 1
+    rows = []
+    for face in faces:
+        rest = face
+        if char == 2:
+            row = 0
+            while rest:
+                low = rest & -rest
+                row |= 1 << ids[face ^ low]
+                rest ^= low
+        else:
+            row = {}
+            sign = 1
+            while rest:
+                low = rest & -rest
+                row[ids[face ^ low]] = sign
+                sign = -sign
+                rest ^= low
+        rows.append(row)
+    return rows
+
+
+def _homology_dims_from_faces(rows: list, char: int) -> dict[int, int]:
+    """Reduced homology dims of a complex given the boundary rows of its nonempty faces.
+
+    The rows are those of ``_boundary_rows``; a d-face's row has d+1 nonzeros.
     The empty face is always implicitly present. Conventions: the complex
     {empty set} has one dimension of homology in degree -1 and nothing else;
     anything with a vertex has zero homology in degree -1.
     """
-    if not faces:
+    if not rows:
         return {-1: 1}
-    by_dim: dict[int, list[int]] = {}
-    for m in faces:
-        by_dim.setdefault(m.bit_count() - 1, []).append(m)
+    weight = int.bit_count if char == 2 else len
+    by_dim: dict[int, list] = {}
+    for row in rows:
+        by_dim.setdefault(weight(row) - 1, []).append(row)
     maxd = max(by_dim)
     ranks = [0] * (maxd + 2)
     ranks[0] = 1  # augmentation map has rank 1 once there is a vertex
     for d in range(1, maxd + 1):
-        cols = {m: i for i, m in enumerate(by_dim[d - 1])}
         if char == 2:
-            rows = []
-            for face in by_dim[d]:
-                bits = 0
-                rest = face
-                while rest:
-                    low = rest & -rest
-                    bits |= 1 << cols[face ^ low]
-                    rest ^= low
-                rows.append(bits)
-            ranks[d] = rank_gf2_rows(rows)
+            ranks[d] = rank_gf2_rows(by_dim[d])
+        elif char == 0:
+            ranks[d] = rank_exact(by_dim[d])
         else:
-            rows = []
-            for face in by_dim[d]:
-                row = {}
-                sign = 1
-                rest = face
-                while rest:
-                    low = rest & -rest
-                    row[cols[face ^ low]] = sign
-                    sign = -sign
-                    rest ^= low
-                rows.append(row)
-            ranks[d] = rank_exact(rows) if char == 0 else rank_mod_p(rows, char)
+            ranks[d] = rank_mod_p(by_dim[d], char)
     dims = {}
     for d in range(maxd + 1):
         h = len(by_dim[d]) - ranks[d] - ranks[d + 1]
@@ -299,12 +321,14 @@ def betti_hochster(
         is_face &= ~inside
         covered |= np.where(inside, np.int64(g), np.int64(0))
     faces = masks[is_face]
+    rows = np.empty(len(faces), dtype=object)
+    rows[:] = _boundary_rows(faces.tolist(), char)
     survivors = sorted((int(w) for w in masks[covered == masks]),
                        key=lambda w: (w.bit_count(), w))
     for w in survivors:
-        sel = faces[(faces & ~w) == 0]
+        sel = rows[(faces & ~w) == 0].tolist()
         size = w.bit_count()
-        for d, h in _homology_dims_from_faces([int(f) for f in sel], char).items():
+        for d, h in _homology_dims_from_faces(sel, char).items():
             i = size - 1 - d
             if i >= 1:
                 table[(i, size)] = table.get((i, size), 0) + h

@@ -16,6 +16,7 @@ no cone.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -24,6 +25,7 @@ from pathideals.betti import (
     GF2,
     BettiTable,
     FieldSpec,
+    _boundary_rows,
     _homology_dims_from_faces,
     rank_exact,
     rank_mod_p,
@@ -159,12 +161,16 @@ def _nonempty_submasks(mask: int):
 
 
 def reduced_homology_dims(
-    nonfaces: MonomialIdeal, vertices: Iterable[int], field: FieldSpec = GF2
+    nonfaces: MonomialIdeal,
+    vertices: Iterable[int],
+    field: FieldSpec = GF2,
+    rng: random.Random | None = None,
 ) -> list[int]:
     """Dims of reduced homology of the induced subcomplex, degrees -1..|W|-1.
 
     The complex is the one whose minimal non-faces are the generators of
-    ``nonfaces`` (its Stanley-Reisner complex).
+    ``nonfaces`` (its Stanley-Reisner complex). Given ``rng``, the faces reach
+    the boundary-row builder shuffled, which renumbers the matrix columns.
     """
     w = sorted(set(vertices))
     wmask = sum(1 << v for v in w)
@@ -172,7 +178,10 @@ def reduced_homology_dims(
     faces = [
         s for s in _nonempty_submasks(wmask) if not any((g & s) == g for g in gmasks)
     ]
-    dims = _homology_dims_from_faces(faces, field.characteristic)
+    if rng is not None:
+        rng.shuffle(faces)
+    char = field.characteristic
+    dims = _homology_dims_from_faces(_boundary_rows(faces, char), char)
     return [dims.get(d, 0) for d in range(-1, len(w))]
 
 

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -116,7 +118,29 @@ def test_rank_of_sparse_sign_matrices(rows):
     assert rank_mod_p(rows, 3) == rank_fraction(mat, 3)
 
 
-# -- reduced homology conventions ----------------------------------------------
+# rows with an entry that vanishes mod 3 ({2: 3, ...}, {..., 0: 6}) and pivots
+# other than +-1 over Q; betti_hochster hands the same rows to every subset
+SHARED_ROWS = [{2: 2, 0: 1}, {2: 3, 1: 1}, {2: 1, 1: 3, 0: 6}, {1: -1, 0: 2}, {1: 5}]
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=lambda f: f.token)
+def test_rank_kernels_leave_their_rows_unchanged(field):
+    if field.characteristic == 2:
+        rows = [sum(1 << c for c, a in row.items() if a % 2) for row in SHARED_ROWS]
+        rank = rank_gf2_rows
+        dense = [[(row >> c) & 1 for c in range(3)] for row in rows]
+    else:
+        rows = copy.deepcopy(SHARED_ROWS)
+        rank = rank_exact if field.characteristic == 0 else lambda r: rank_mod_p(r, 3)
+        dense = [[row.get(c, 0) for c in range(3)] for row in rows]
+    before = copy.deepcopy(rows)
+    first = rank(rows)
+    assert rows == before
+    assert rank(rows) == first == rank_fraction(dense, field.characteristic)
+    assert rows == before
+
+
+# -- reduced simplicial homology ---------------------------------------------------
 
 
 def test_homology_conventions():
@@ -136,6 +160,20 @@ def test_homology_sees_torsion_only_in_characteristic_two():
     assert reduced_homology_dims(cx, range(6), GF2) == [0, 0, 1, 1, 0, 0, 0]
     assert reduced_homology_dims(cx, range(6), GF3) == [0] * 7
     assert reduced_homology_dims(cx, range(6), QQ) == [0] * 7
+
+
+@given(
+    st.sets(st.sets(st.integers(0, 5), min_size=1, max_size=4).map(frozenset), max_size=7),
+    st.sets(st.integers(0, 5)),
+    st.sampled_from([GF2, GF3, QQ]),
+    st.randoms(),
+)
+def test_homology_ignores_the_column_numbering(gens, vertices, field, rng):
+    # the row builder numbers columns in the order it is given the faces
+    cx = MonomialIdeal(6, frozenset(gens))
+    assert reduced_homology_dims(cx, vertices, field, rng) == reduced_homology_dims(
+        cx, vertices, field
+    )
 
 
 # -- Betti tables -----------------------------------------------------------------

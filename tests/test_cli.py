@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -10,6 +11,13 @@ CATERPILLAR = fixture_path("caterpillar_7.txt")
 C5_PENDANT = fixture_path("c5_pendant_6.txt")
 C6_PENDANT = fixture_path("c6_pendant_7.txt")
 C7_TAIL = fixture_path("c7_tail_11.txt")
+
+
+def fixture_id(value):
+    """Test id of a fixture path: its file name without the extension."""
+    if isinstance(value, str):
+        return os.path.splitext(os.path.basename(value))[0]
+    return None
 
 
 def run(capsys, *argv):
@@ -44,7 +52,7 @@ def test_paths_empty_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "path,expected", [(C5_PENDANT, 2), (C6_PENDANT, 3), (C7_TAIL, 6)]
+    "path,expected", [(C5_PENDANT, 2), (C6_PENDANT, 3), (C7_TAIL, 6)], ids=fixture_id
 )
 def test_reg_json_golden(capsys, path, expected):
     code, out, _ = run(capsys, "reg", "--format", "json", path)
@@ -272,7 +280,9 @@ def test_reg_rejects_primes_above_two_to_the_31(capsys):
     assert "p <= 2^31" in err
 
 
-@pytest.mark.parametrize("path", [CATERPILLAR, C5_PENDANT, C6_PENDANT, C7_TAIL])
+@pytest.mark.parametrize(
+    "path", [CATERPILLAR, C5_PENDANT, C6_PENDANT, C7_TAIL], ids=fixture_id
+)
 def test_reg_largest_allowed_prime_gives_the_rational_table(capsys, path):
     from pathideals.betti import QQ, betti_hochster
     from pathideals.graphs import load_graph

@@ -7,12 +7,12 @@ PUBLIC_NAMES = {
     "check_nu3_broom_drop", "classify", "colon", "edge_colon_closed_form", "find_broom_vertex",
     "load_graph", "minimalize", "nu3", "parse_edge_list", "parse_graph", "path_ideal",
     "path_ideal_within", "random_graph", "random_tree", "random_unicyclic", "regularity",
-    "to_edge_list",
+    "to_edge_list", "vertex_colon_closed_form",
 }
 
 
 def test_public_names_are_exactly_the_exports_and_all_resolve():
-    assert len(pathideals.__all__) == len(PUBLIC_NAMES) == 35
+    assert len(pathideals.__all__) == len(PUBLIC_NAMES) == 36
     assert set(pathideals.__all__) == PUBLIC_NAMES
     for name in pathideals.__all__:
         assert getattr(pathideals, name) is not None, name
