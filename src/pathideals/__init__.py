@@ -31,7 +31,6 @@ from .graphs import (
 )
 from .ideals import (
     MonomialIdeal,
-    add,
     add_monomial,
     add_vars,
     colon,
@@ -62,7 +61,6 @@ __all__ = [
     "NoBroomVertexError",
     "PathIdealsError",
     "QQ",
-    "add",
     "add_monomial",
     "add_vars",
     "betti_hochster",

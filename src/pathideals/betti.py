@@ -247,10 +247,6 @@ class BettiTable:
     def projective_dimension(self) -> int:
         return max(i for i, _, _ in self.entries)
 
-    def generator_degrees(self) -> dict[int, int]:
-        """Degree histogram of the first syzygy layer (minimal generators of I)."""
-        return {j: b for i, j, b in self.entries if i == 1}
-
     def entrywise_leq(self, other: "BettiTable") -> bool:
         mine, theirs = self.as_dict(), other.as_dict()
         return all(b <= theirs.get(key, 0) for key, b in mine.items())
@@ -323,9 +319,7 @@ def betti_hochster(
     faces = masks[is_face]
     rows = np.empty(len(faces), dtype=object)
     rows[:] = _boundary_rows(faces.tolist(), char)
-    survivors = sorted((int(w) for w in masks[covered == masks]),
-                       key=lambda w: (w.bit_count(), w))
-    for w in survivors:
+    for w in masks[covered == masks].tolist():
         sel = rows[(faces & ~w) == 0].tolist()
         size = w.bit_count()
         for d, h in _homology_dims_from_faces(sel, char).items():

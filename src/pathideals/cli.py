@@ -125,6 +125,12 @@ def _emit_reports(reports, args) -> int:
     return _exit_status(reports)
 
 
+def _batch_spec(args, field_: FieldSpec, which: str = "family") -> BatchSpec:
+    """The batch that ``--family``, ``--n``, ``--count``, ``--seed`` and ``--cap`` describe."""
+    n_lo, n_hi = _parse_range(args.n)
+    return BatchSpec(args.family, n_lo, n_hi, args.count, args.seed, field_, which, args.cap)
+
+
 def cmd_verify(args) -> int:
     field_ = FieldSpec.parse(args.field)
     if (args.input is None) == (args.family is None):
@@ -133,42 +139,21 @@ def cmd_verify(args) -> int:
         graph = load_graph(args.input)
         reports = verify_graph(graph, args.which, field_, args.cap, source=args.input)
         return _emit_reports(reports, args)
-    n_lo, n_hi = _parse_range(args.n)
     which = args.which if args.which != "all" else "family"
-    spec = BatchSpec(
-        family=args.family,
-        n_lo=n_lo,
-        n_hi=n_hi,
-        count=args.count,
-        seed=args.seed,
-        field_=field_,
-        which=which,
-        cap=args.cap,
-    )
-    reports = run_batch(spec, jobs=args.jobs)
+    reports = run_batch(_batch_spec(args, field_, which), jobs=args.jobs)
     return _emit_reports(reports, args)
 
 
 def cmd_search(args) -> int:
-    field_ = FieldSpec.parse(args.field)
-    n_lo, n_hi = _parse_range(args.n)
-    spec = BatchSpec(
-        family=args.family,
-        n_lo=n_lo,
-        n_hi=n_hi,
-        count=args.count,
-        seed=args.seed,
-        field_=field_,
-        cap=args.cap,
-    )
+    spec = _batch_spec(args, FieldSpec.parse(args.field))
     summary = classify_defects(spec, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     batch_header = {
-        "family": args.family,
-        "n": f"{n_lo}..{n_hi}",
-        "count": args.count,
-        "seed": args.seed,
-        "field": field_.token,
+        "family": spec.family,
+        "n": f"{spec.n_lo}..{spec.n_hi}",
+        "count": spec.count,
+        "seed": spec.seed,
+        "field": spec.field_.token,
     }
     with open(os.path.join(args.out, "batch.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(batch_header, sort_keys=True) + "\n")

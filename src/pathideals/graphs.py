@@ -60,10 +60,6 @@ class Graph:
         if not (0 <= v < self.n):
             raise InputError(f"vertex {v} out of range for n={self.n}")
 
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self.adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
@@ -172,20 +168,16 @@ class Graph:
             comps.append(sorted(comp))
         return comps
 
-    def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
-
 
 @dataclass(frozen=True)
 class Classification:
-    """Global shape of a graph, plus its unique cycle when there is one.
+    """Global shape of a graph and the kind of each of its components.
 
     ``kind`` is one of tree / forest / unicyclic / cycle / other. Unicyclic
     means connected with exactly one cycle but not itself a cycle graph.
     """
 
     kind: str
-    cycle: tuple[int, ...] | None
     components: tuple[str, ...]
 
 
@@ -201,48 +193,18 @@ def _component_kind(graph: Graph, comp: list[int]) -> str:
     return "other"
 
 
-def _unique_cycle(graph: Graph, comp: list[int]) -> tuple[int, ...]:
-    """Cycle of a connected component with |E| = |V|, by peeling leaves."""
-    degree = {v: len(graph.adj[v] & set(comp)) for v in comp}
-    queue = [v for v in comp if degree[v] == 1]
-    alive = set(comp)
-    while queue:
-        v = queue.pop()
-        alive.discard(v)
-        for w in graph.adj[v]:
-            if w in alive:
-                degree[w] -= 1
-                if degree[w] == 1:
-                    queue.append(w)
-    start = min(alive)
-    cycle = [start]
-    prev, cur = None, start
-    while True:
-        nxt = min(w for w in graph.adj[cur] if w in alive and w != prev)
-        if nxt == start:
-            break
-        cycle.append(nxt)
-        prev, cur = cur, nxt
-    return tuple(cycle)
-
-
 def classify(graph: Graph) -> Classification:
     """Classify a graph as tree/forest/unicyclic/cycle/other.
 
-    The cycle vertex list is attached when the graph is connected with
-    exactly one cycle (walk starts at the smallest cycle vertex and moves
-    toward its smallest cycle neighbor).
+    A connected graph takes the kind of its one component. Any other graph,
+    the empty one included, is a forest when every component is a tree and
+    ``other`` otherwise.
     """
-    comps = graph.components()
-    kinds = tuple(_component_kind(graph, c) for c in comps)
-    if graph.n == 0:
-        return Classification("forest", None, ())
-    if len(comps) == 1:
-        kind = kinds[0]
-        cycle = _unique_cycle(graph, comps[0]) if kind in ("unicyclic", "cycle") else None
-        return Classification(kind, cycle, kinds)
+    kinds = tuple(_component_kind(graph, c) for c in graph.components())
+    if len(kinds) == 1:
+        return Classification(kinds[0], kinds)
     kind = "forest" if all(k == "tree" for k in kinds) else "other"
-    return Classification(kind, None, kinds)
+    return Classification(kind, kinds)
 
 
 def find_broom_vertex(graph: Graph) -> tuple[int, tuple[int, ...]]:

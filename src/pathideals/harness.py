@@ -353,6 +353,8 @@ class BatchSpec:
             raise InputError(f"unknown family {self.family!r}")
         if self.n_lo > self.n_hi:
             raise InputError("empty n range")
+        if self.count < 0:
+            raise InputError(f"count must be nonnegative, got {self.count}")
         minimum = {"tree": 1, "unicyclic": 4, "random": 1}[self.family]
         if self.n_lo < minimum:
             raise InputError(
@@ -413,11 +415,15 @@ def _pool_worker(args: tuple[BatchSpec, int]) -> VerificationReport:
 
 
 def run_batch(spec: BatchSpec, jobs: int = 1) -> list[VerificationReport]:
-    """All instances of a batch, ordered by index regardless of parallelism."""
+    """All instances of a batch, ordered by index regardless of parallelism.
+
+    Starts at most one worker per instance, and none for a single worker.
+    """
     tasks = [(spec, k) for k in range(spec.count)]
-    if jobs <= 1:
+    workers = min(jobs, spec.count)
+    if workers <= 1:
         return [run_instance(*t) for t in tasks]
-    with Pool(jobs) as pool:
+    with Pool(workers) as pool:
         return pool.map(_pool_worker, tasks)
 
 

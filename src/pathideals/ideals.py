@@ -74,12 +74,6 @@ def colon(ideal: MonomialIdeal, m: Iterable[int]) -> MonomialIdeal:
     return MonomialIdeal(ideal.n, frozenset(g - support for g in ideal.gens))
 
 
-def add(left: MonomialIdeal, right: MonomialIdeal) -> MonomialIdeal:
-    if left.n != right.n:
-        raise InputError("ideal sum requires matching ambients")
-    return MonomialIdeal(left.n, left.gens | right.gens)
-
-
 def add_vars(ideal: MonomialIdeal, variables: Iterable[int]) -> MonomialIdeal:
     """I + the ideal generated by the given variables."""
     extra = frozenset(frozenset({v}) for v in variables)

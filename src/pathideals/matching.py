@@ -24,10 +24,6 @@ class MatchingCertificate:
     def size(self) -> int:
         return len(self.paths)
 
-    @property
-    def covered(self) -> frozenset[int]:
-        return frozenset(v for p in self.paths for v in p)
-
     def to_json_obj(self) -> dict:
         return {"nu3": self.size, "paths": [list(p) for p in self.paths]}
 

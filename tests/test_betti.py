@@ -229,7 +229,7 @@ def test_first_syzygy_layer_counts_generators(key):
     histogram = {}
     for g in i3.gens:
         histogram[len(g)] = histogram.get(len(g), 0) + 1
-    assert table.generator_degrees() == histogram
+    assert {j: b for i, j, b in table.entries if i == 1} == histogram
 
 
 @given(graph_keys)

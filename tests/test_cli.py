@@ -154,6 +154,27 @@ def test_search_writes_histogram_and_exemplars(tmp_path, capsys):
     assert out.startswith("defect,count")
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_verify_rejects_a_negative_count(capsys, fmt):
+    code, out, err = run(
+        capsys, "verify", "--family", "tree", "--n", "5..5", "--count", "-3", "--format", fmt
+    )
+    assert (code, out) == (2, "")
+    assert "count must be nonnegative" in err
+    code, out, _ = run(capsys, "verify", "--family", "tree", "--n", "5..5", "--count", "0", "--format", fmt)
+    assert code == 0 and out == ("n,family,seed,reg,nu3,defect,pass\n" if fmt == "csv" else "")
+
+
+def test_search_rejects_a_negative_count(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, out, err = run(
+        capsys, "search", "--family", "tree", "--n", "5..5", "--count", "-2", "--out", str(out_dir)
+    )
+    assert (code, out) == (2, "")
+    assert "count must be nonnegative" in err
+    assert not out_dir.exists()
+
+
 def test_search_rejects_too_small_unicyclic(capsys):
     code, _, err = run(capsys, "search", "--family", "unicyclic", "--n", "3..3")
     assert code == 2

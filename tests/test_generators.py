@@ -45,7 +45,7 @@ def test_random_tree_is_a_tree(n, seed):
     g = random_tree(n, seed)
     assert g.n == n
     assert len(g.edges) == n - 1
-    assert g.is_connected()
+    assert len(g.components()) == 1
 
 
 def test_random_tree_trivial_cases():
@@ -59,7 +59,7 @@ def test_random_tree_trivial_cases():
 def test_random_unicyclic_has_exactly_one_cycle(n, seed):
     g = random_unicyclic(n, seed)
     assert len(g.edges) == n
-    assert g.is_connected()
+    assert len(g.components()) == 1
     assert classify(g).kind in ("unicyclic", "cycle")
 
 

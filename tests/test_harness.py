@@ -64,7 +64,7 @@ def test_betti_monotonicity_full_subset_is_equality(caterpillar):
 
 
 def test_betti_monotonicity_cycle_inside_tail_fixture(c7_tail):
-    cycle = classify(c7_tail).cycle
+    cycle = (0, 1, 2, 3, 4, 5, 6)
     report = betti_monotonicity(GraphContext(c7_tail), cycle)
     assert report.passed
 
@@ -121,6 +121,9 @@ def test_batch_spec_validation():
         BatchSpec(family="nonsense", n_lo=3, n_hi=5, count=1, seed=0)
     with pytest.raises(InputError):
         BatchSpec(family="tree", n_lo=5, n_hi=4, count=1, seed=0)
+    with pytest.raises(InputError):
+        BatchSpec(family="tree", n_lo=4, n_hi=5, count=-1, seed=0)
+    assert run_batch(BatchSpec(family="tree", n_lo=4, n_hi=5, count=0, seed=0), jobs=4) == []
 
 
 def test_generate_instance_is_deterministic_and_cycles_n():
@@ -144,6 +147,36 @@ def test_run_batch_parallel_reports_are_byte_identical():
     duo = run_batch(spec, jobs=2)
     assert reports_to_jsonl(solo) == reports_to_jsonl(duo)
     assert all(r.passed for r in solo)
+
+
+def test_run_batch_starts_no_more_workers_than_instances(monkeypatch):
+    from pathideals import harness
+
+    sizes = []
+
+    class InProcessPool:
+        """Records its size and maps in this process, so no worker starts."""
+
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks):
+            return [func(t) for t in tasks]
+
+    monkeypatch.setattr(harness, "Pool", InProcessPool)
+    spec = BatchSpec(family="unicyclic", n_lo=5, n_hi=6, count=3, seed=4)
+    pooled = run_batch(spec, jobs=8)
+    assert sizes == [3]
+    assert reports_to_jsonl(pooled) == reports_to_jsonl(run_batch(spec, jobs=1))
+    single = BatchSpec(family="tree", n_lo=5, n_hi=5, count=1, seed=4)
+    assert reports_to_jsonl(run_batch(single, jobs=8)) == reports_to_jsonl(run_batch(single))
+    assert sizes == [3]
 
 
 def test_report_serialization_shapes():

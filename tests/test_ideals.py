@@ -6,7 +6,6 @@ from pathideals.generators import random_graph
 from pathideals.graphs import Graph
 from pathideals.ideals import (
     MonomialIdeal,
-    add,
     add_monomial,
     add_vars,
     colon,
@@ -96,12 +95,8 @@ def test_colon_composes(gens, a, b):
 
 def test_add_absorption():
     i3 = path_ideal(P4, 3)
-    assert add(i3, zero_ideal(4)) == i3
-    assert add(ideal(3, (0, 1, 2)), ideal(3, (0,))) == ideal(3, (0,))
     assert add_monomial(i3, {1, 2}) == ideal(4, (1, 2))
     assert add_vars(zero_ideal(3), [0, 2]) == ideal(3, (0,), (2,))
-    with pytest.raises(InputError):
-        add(i3, zero_ideal(5))
 
 
 def test_edge_colon_closed_form_small_paths():

@@ -83,7 +83,6 @@ def test_nu3_certificate_is_deterministic(caterpillar):
     value, cert = nu3(caterpillar)
     assert value == 2
     assert cert.paths == ((0, 1, 6), (3, 4, 5))
-    assert cert.covered == {0, 1, 6, 3, 4, 5}
     assert cert.to_json_obj() == {"nu3": 2, "paths": [[0, 1, 6], [3, 4, 5]]}
 
 

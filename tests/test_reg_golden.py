@@ -1,0 +1,36 @@
+"""Byte-for-byte replay of `pathideals reg --format json` against recorded digests.
+
+Each line of data/reg_golden.jsonl holds one command with its graph inline:
+the four fixtures over gf2, gf3 and q; trees, unicyclic graphs and G(n, 0.3)
+drawn from SplitMix64 seeds 1..4 at n = 9..12 (seeds 1..3 over gf2, seed 4
+over gf3 or q, as JSON); and one capacity error. The exit code and the sha256
+of stdout and stderr were recorded before the cycle walk, the test-only
+names and the survivor sort left the package. The graph is written to a
+temporary file that takes the place of ``GRAPH`` in the argv.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from pathideals.cli import main
+
+with open(os.path.join(os.path.dirname(__file__), "data", "reg_golden.jsonl"), encoding="utf-8") as fh:
+    GOLDEN = [json.loads(line) for line in fh]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[c["id"] for c in GOLDEN])
+def test_reg_output_is_byte_identical(case, tmp_path, capsys):
+    path = tmp_path / "graph.txt"
+    path.write_text(case["input"], encoding="utf-8")
+    code = main([str(path) if arg == "GRAPH" else arg for arg in case["argv"]])
+    captured = capsys.readouterr()
+    assert code == case["exit"]
+    assert sha256(captured.out) == case["stdout_sha256"]
+    assert sha256(captured.err) == case["stderr_sha256"]
