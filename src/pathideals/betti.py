@@ -238,9 +238,6 @@ class BettiTable:
     def as_dict(self) -> dict[tuple[int, int], int]:
         return {(i, j): b for i, j, b in self.entries}
 
-    def get(self, i: int, j: int) -> int:
-        return self.as_dict().get((i, j), 0)
-
     def regularity(self) -> int:
         return max(j - i for i, j, _ in self.entries)
 

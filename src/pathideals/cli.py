@@ -10,19 +10,13 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from .betti import CAP_ENV_VAR, DEFAULT_CAP, FieldSpec, betti_hochster
 from .errors import CapacityError, InputError, PathIdealsError
-from .graphs import Graph, load_graph
+from .graphs import Graph, graph_from_json_obj, load_graph, to_edge_list
 from .harness import (
-    BatchSpec,
-    WHICH_CHOICES,
-    classify_defects,
-    reports_to_csv,
-    reports_to_jsonl,
-    run_batch,
-    verify_graph,
-    write_exemplars,
+    FAMILIES, WHICH_CHOICES, BatchSpec, reports_to_csv, reports_to_jsonl, run_batch, verify_graph,
 )
 from .ideals import path_ideal
 from .matching import nu3
@@ -115,17 +109,21 @@ def _exit_status(reports) -> int:
     return EXIT_OK
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _emit_reports(reports, args) -> int:
     text = reports_to_csv(reports) if args.format == "csv" else reports_to_jsonl(reports)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
     return _exit_status(reports)
 
 
-def _batch_spec(args, field_: FieldSpec, which: str = "family") -> BatchSpec:
+def _batch_spec(args, field_: FieldSpec, which: str = "all") -> BatchSpec:
     """The batch that ``--family``, ``--n``, ``--count``, ``--seed`` and ``--cap`` describe."""
     n_lo, n_hi = _parse_range(args.n)
     return BatchSpec(args.family, n_lo, n_hi, args.count, args.seed, field_, which, args.cap)
@@ -139,15 +137,21 @@ def cmd_verify(args) -> int:
         graph = load_graph(args.input)
         reports = verify_graph(graph, args.which, field_, args.cap, source=args.input)
         return _emit_reports(reports, args)
-    which = args.which if args.which != "all" else "family"
-    reports = run_batch(_batch_spec(args, field_, which), jobs=args.jobs)
+    reports = run_batch(_batch_spec(args, field_, args.which), jobs=args.jobs)
     return _emit_reports(reports, args)
 
 
 def cmd_search(args) -> int:
+    """The reg - 2*nu3 defect histogram of a family batch, plus one graph per (n, defect)."""
     spec = _batch_spec(args, FieldSpec.parse(args.field))
-    summary = classify_defects(spec, jobs=args.jobs)
-    os.makedirs(args.out, exist_ok=True)
+    reports = run_batch(spec, jobs=args.jobs)
+    histogram: Counter[int] = Counter()
+    exemplars: dict[tuple[int, int], dict] = {}
+    for r in reports:
+        if r.defect is not None:
+            histogram[r.defect] += 1
+            exemplars.setdefault((r.n, r.defect), r.graph)
+    histogram_text = "defect,count\n" + "".join(f"{d},{c}\n" for d, c in sorted(histogram.items()))
     batch_header = {
         "family": spec.family,
         "n": f"{spec.n_lo}..{spec.n_hi}",
@@ -155,17 +159,15 @@ def cmd_search(args) -> int:
         "seed": spec.seed,
         "field": spec.field_.token,
     }
-    with open(os.path.join(args.out, "batch.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(batch_header, sort_keys=True) + "\n")
-    histogram_path = os.path.join(args.out, "histogram.csv")
-    with open(histogram_path, "w", encoding="utf-8") as fh:
-        fh.write(summary.histogram_csv())
-    reports_path = os.path.join(args.out, "reports.jsonl")
-    with open(reports_path, "w", encoding="utf-8") as fh:
-        fh.write(reports_to_jsonl(summary.reports))
-    write_exemplars(summary, args.out)
-    sys.stdout.write(summary.histogram_csv())
-    return _exit_status(summary.reports)
+    os.makedirs(args.out, exist_ok=True)
+    _write(os.path.join(args.out, "batch.json"), json.dumps(batch_header, sort_keys=True) + "\n")
+    _write(os.path.join(args.out, "histogram.csv"), histogram_text)
+    _write(os.path.join(args.out, "reports.jsonl"), reports_to_jsonl(reports))
+    for (n, defect), graph in sorted(exemplars.items()):
+        path = os.path.join(args.out, f"{spec.family}_n{n}_defect{defect}.txt")
+        _write(path, to_edge_list(graph_from_json_obj(graph)))
+    sys.stdout.write(histogram_text)
+    return _exit_status(reports)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,9 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_field=True):
-        if with_field:
-            p.add_argument("--field", default="gf2", help="coefficient field: q, gf2, gf3, ... (default gf2)")
+    def add_common(p):
+        p.add_argument("--field", default="gf2", help="coefficient field: q, gf2, gf3, ... (default gf2)")
         p.add_argument(
             "--cap",
             type=int,
@@ -205,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the bound/identity checks")
     p_verify.add_argument("input", nargs="?", default=None, help="graph file; omit when using --family")
     p_verify.add_argument("--which", default="all", choices=WHICH_CHOICES)
-    p_verify.add_argument("--family", default=None, choices=("tree", "unicyclic", "random"))
+    p_verify.add_argument("--family", default=None, choices=FAMILIES)
     p_verify.add_argument("--n", default="4..10", help="vertex range A..B for --family")
     p_verify.add_argument("--count", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_search = sub.add_parser("search", help="defect histogram over a random family")
-    p_search.add_argument("--family", required=True, choices=("tree", "unicyclic", "random"))
+    p_search.add_argument("--family", required=True, choices=FAMILIES)
     p_search.add_argument("--n", required=True, help="vertex range A..B")
     p_search.add_argument("--count", type=int, default=100)
     p_search.add_argument("--seed", type=int, default=0)

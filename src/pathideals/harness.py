@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from multiprocessing import Pool
@@ -21,7 +20,7 @@ from typing import Callable, Iterable
 from .betti import DEFAULT_CAP, GF2, NEG_INF, BettiTable, FieldSpec, SesBoundReport, betti_hochster
 from .errors import InputError, PathIdealsError
 from .generators import SplitMix64, graph_from_rng, tree_from_rng, unicyclic_from_rng
-from .graphs import Graph, classify, graph_from_json_obj, graph_to_json_obj, to_edge_list
+from .graphs import Graph, classify, graph_to_json_obj
 from .ideals import (
     MonomialIdeal,
     add_monomial,
@@ -345,12 +344,14 @@ class BatchSpec:
     count: int
     seed: int
     field_: FieldSpec = GF2
-    which: str = "family"
+    which: str = "all"  # a --which selector; "all" runs the family's own check
     cap: int = DEFAULT_CAP
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise InputError(f"unknown family {self.family!r}")
+        if self.which not in WHICH_CHOICES:
+            raise InputError(f"unknown batch check {self.which!r}")
         if self.n_lo > self.n_hi:
             raise InputError("empty n range")
         if self.count < 0:
@@ -389,10 +390,7 @@ _FAMILY_CHECK = {"tree": "tree", "unicyclic": "unicyclic", "random": "lower"}
 
 
 def _batch_check(spec: BatchSpec) -> Check:
-    name = _FAMILY_CHECK[spec.family] if spec.which == "family" else spec.which
-    if name not in CHECKS:
-        raise InputError(f"unknown batch check {name!r}")
-    return CHECKS[name]
+    return CHECKS[_FAMILY_CHECK[spec.family] if spec.which == "all" else spec.which]
 
 
 def run_instance(spec: BatchSpec, k: int) -> VerificationReport:
@@ -417,54 +415,15 @@ def _pool_worker(args: tuple[BatchSpec, int]) -> VerificationReport:
 def run_batch(spec: BatchSpec, jobs: int = 1) -> list[VerificationReport]:
     """All instances of a batch, ordered by index regardless of parallelism.
 
-    Starts at most one worker per instance, and none for a single worker.
+    Starts at most one worker per instance and per CPU, and none for a
+    single worker.
     """
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
     tasks = [(spec, k) for k in range(spec.count)]
-    workers = min(jobs, spec.count)
+    workers = min(jobs, spec.count, os.cpu_count() or 1)
     if workers <= 1:
         return [run_instance(*t) for t in tasks]
     with Pool(workers) as pool:
         return pool.map(_pool_worker, tasks)
 
-
-@dataclass
-class DefectSummary:
-    spec: BatchSpec
-    reports: list[VerificationReport]
-    histogram: dict[int, int]
-    exemplars: dict[tuple[int, int], Graph]
-
-    def histogram_csv(self) -> str:
-        lines = ["defect,count"]
-        lines += [f"{d},{c}" for d, c in sorted(self.histogram.items())]
-        return "\n".join(lines) + "\n"
-
-
-def classify_defects(spec: BatchSpec, jobs: int = 1) -> DefectSummary:
-    """Run a family batch and aggregate the reg - 2*nu3 defect distribution.
-
-    Keeps the first exemplar graph seen for every (n, defect) cell.
-    """
-    reports = run_batch(spec, jobs=jobs)
-    histogram: Counter[int] = Counter()
-    exemplars: dict[tuple[int, int], Graph] = {}
-    for report in reports:
-        if report.defect is None:
-            continue
-        histogram[report.defect] += 1
-        key = (report.n, report.defect)
-        if key not in exemplars:
-            exemplars[key] = graph_from_json_obj(report.graph)
-    return DefectSummary(spec, reports, dict(histogram), exemplars)
-
-
-def write_exemplars(summary: DefectSummary, directory: str) -> list[str]:
-    """Write one edge-list file per (n, defect) cell; returns the paths."""
-    os.makedirs(directory, exist_ok=True)
-    written = []
-    for (n, defect), graph in sorted(summary.exemplars.items()):
-        path = os.path.join(directory, f"{summary.spec.family}_n{n}_defect{defect}.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(to_edge_list(graph))
-        written.append(path)
-    return written

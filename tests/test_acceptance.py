@@ -130,7 +130,7 @@ def test_criterion_10_complete_intersection_law():
         table = betti_hochster(path_ideal(Graph(3 * s, tuple(edges)), 3))
         assert table.regularity() == 2 * s
         for i in range(s + 1):
-            assert table.get(i, 3 * i) == comb(s, i)
+            assert table.as_dict().get((i, 3 * i), 0) == comb(s, i)
     _passed(10, "s = 1..4 disjoint 3-paths: beta_{i,3i} = C(s,i) and reg = 2s")
 
 

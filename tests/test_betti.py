@@ -211,7 +211,7 @@ def test_complete_intersection_law(s):
     table = betti_hochster(path_ideal(disjoint_p3s(s), 3))
     assert table.regularity() == 2 * s
     for i in range(s + 1):
-        assert table.get(i, 3 * i) == comb(s, i)
+        assert table.as_dict().get((i, 3 * i), 0) == comb(s, i)
     # and nothing outside the Koszul diagonal
     assert sum(b for _, _, b in table.entries) == 2**s
 
@@ -376,7 +376,7 @@ def test_betti_table_validation():
         BettiTable(((0, 0, 1), (1, 3, -2)))
     table = BettiTable(((0, 0, 1), (1, 3, 2), (2, 4, 0)))
     assert table.entries == ((0, 0, 1), (1, 3, 2))
-    assert table.get(2, 4) == 0
+    assert table.as_dict().get((2, 4), 0) == 0
 
 
 def test_betti_table_entrywise_leq():

@@ -175,6 +175,28 @@ def test_search_rejects_a_negative_count(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_verify_rejects_jobs_below_one(tmp_path, capsys):
+    out_file = tmp_path / "report.jsonl"
+    code, out, err = run(
+        capsys, "verify", "--family", "tree", "--n", "5..5", "--count", "2", "--jobs", "0",
+        "--output", str(out_file),
+    )
+    assert (code, out) == (2, "")
+    assert "jobs must be at least 1" in err
+    assert not out_file.exists()
+
+
+def test_search_rejects_jobs_below_one(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, out, err = run(
+        capsys,
+        "search", "--family", "tree", "--n", "5..5", "--count", "2", "--jobs", "0", "--out", str(out_dir),
+    )
+    assert (code, out) == (2, "")
+    assert "jobs must be at least 1" in err
+    assert not out_dir.exists()
+
+
 def test_search_rejects_too_small_unicyclic(capsys):
     code, _, err = run(capsys, "search", "--family", "unicyclic", "--n", "3..3")
     assert code == 2

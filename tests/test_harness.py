@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pathideals.cli import main
 from pathideals.errors import InputError
 from pathideals.graphs import Graph, classify, graph_from_json_obj
 from pathideals.harness import (
@@ -10,7 +11,6 @@ from pathideals.harness import (
     BatchSpec,
     GraphContext,
     betti_monotonicity,
-    classify_defects,
     colon_identities,
     generate_instance,
     reports_to_csv,
@@ -124,6 +124,12 @@ def test_batch_spec_validation():
     with pytest.raises(InputError):
         BatchSpec(family="tree", n_lo=4, n_hi=5, count=-1, seed=0)
     assert run_batch(BatchSpec(family="tree", n_lo=4, n_hi=5, count=0, seed=0), jobs=4) == []
+    with pytest.raises(InputError, match="jobs must be at least 1"):
+        run_batch(BatchSpec(family="tree", n_lo=4, n_hi=5, count=0, seed=0), jobs=0)
+    with pytest.raises(InputError, match="unknown batch check 'bogus'"):
+        BatchSpec("tree", 4, 4, 3, 0, which="bogus")
+    with pytest.raises(InputError):
+        BatchSpec("tree", 4, 4, 3, 0, which="family")
 
 
 def test_generate_instance_is_deterministic_and_cycles_n():
@@ -170,6 +176,7 @@ def test_run_batch_starts_no_more_workers_than_instances(monkeypatch):
             return [func(t) for t in tasks]
 
     monkeypatch.setattr(harness, "Pool", InProcessPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
     spec = BatchSpec(family="unicyclic", n_lo=5, n_hi=6, count=3, seed=4)
     pooled = run_batch(spec, jobs=8)
     assert sizes == [3]
@@ -177,6 +184,9 @@ def test_run_batch_starts_no_more_workers_than_instances(monkeypatch):
     single = BatchSpec(family="tree", n_lo=5, n_hi=5, count=1, seed=4)
     assert reports_to_jsonl(run_batch(single, jobs=8)) == reports_to_jsonl(run_batch(single))
     assert sizes == [3]
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    assert reports_to_jsonl(run_batch(spec, jobs=8)) == reports_to_jsonl(pooled)
+    assert sizes == [3, 2]
 
 
 def test_report_serialization_shapes():
@@ -199,15 +209,11 @@ def test_errors_are_recorded_not_raised():
     assert all(r.passed for r in reports)  # no failed checks, only errors
 
 
-def test_classify_defects_and_exemplars(tmp_path):
-    from pathideals.harness import write_exemplars
-
-    spec = BatchSpec(family="tree", n_lo=4, n_hi=7, count=12, seed=5)
-    summary = classify_defects(spec)
-    assert summary.histogram == {0: 12}
-    assert set(summary.exemplars) == {(n, 0) for n in (4, 5, 6, 7)}
-    paths = write_exemplars(summary, str(tmp_path))
-    assert sorted(p.rsplit("/", 1)[1] for p in paths) == [
+def test_search_defect_histogram_and_exemplars(tmp_path):
+    argv = ["search", "--family", "tree", "--n", "4..7", "--count", "12", "--seed", "5"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "histogram.csv").read_text() == "defect,count\n0,12\n"
+    assert sorted(p.name for p in tmp_path.glob("tree_n*_defect*.txt")) == [
         "tree_n4_defect0.txt",
         "tree_n5_defect0.txt",
         "tree_n6_defect0.txt",
