@@ -7,9 +7,14 @@ over vertex subsets, skipping subsets whose subcomplex is a cone (a vertex
 lying in no generator inside the subset). The test suite referees it with an
 independent upper-Koszul oracle.
 
-The augmented boundary row of every face of the complex is built once per
-ideal, with one column numbering per dimension; each surviving subset selects
-the rows of its faces, which already reference only faces of its subcomplex.
+The sum runs in three steps. The plan visits the surviving subsets in mask
+order, so every proper subset comes first, and takes the homology of a join
+(Kuenneth) or of a complex with a dominated vertex (a strong collapse) from
+smaller subsets, deciding from the generators inside each subset alone.
+The augmented boundary rows of the faces inside the remaining subsets, which
+form a subcomplex, are built once, with one column numbering per dimension.
+Each remaining subset selects the rows of its faces and is ranked; the
+others are multiplied out of a memo.
 
 Ranks are exact and come from one reduction by leading column, in two
 kernels: rows packed as int bitsets over GF(2), and sparse {column: entry}
@@ -287,13 +292,128 @@ def _check_capacity(ideal: MonomialIdeal, cap: int) -> None:
         )
 
 
+def _join_series(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """Poincare series of a join: the product of the factors' series."""
+    out: dict[int, int] = {}
+    for k, h in a.items():
+        for l, g in b.items():
+            out[k + l] = out.get(k + l, 0) + h * g
+    return out
+
+
+def _plan(
+    survivors: np.ndarray, gmasks: list[int], is_face: np.ndarray, nverts: int
+) -> list[tuple[int, tuple[int, ...] | None]]:
+    """How each surviving subset W gets its homology, as (W, parts) in mask order.
+
+    ``parts`` is None when Delta_W must be ranked. Otherwise the Poincare
+    series sum_d dim H~_d t^(d+1) of Delta_W is the product of the series of
+    the Delta_P, P in ``parts``, each P a proper subset of W, so a smaller
+    mask that comes earlier:
+
+    - the components of the generators inside W, grouped by shared vertices,
+      when there are two or more: Delta_W is their join (Kuenneth);
+    - the single subset W - v when some u in W dominates v in Delta_W: every
+      face with v stays a face with u added, so Delta_W strong-collapses onto
+      Delta_{W-v} (Barmak-Minian). A non-survivor W - v has zero homology.
+
+    Both hold over every field and read only which generators lie inside W.
+    Each test runs on all survivors at once, on int bitsets over the
+    survivors: one per vertex (W contains it), per generator (it lies inside
+    W) and per vertex and component (the vertex lies in that component).
+    """
+    count = len(survivors)
+    nbytes = (count + 7) // 8
+    tests = np.array([1 << p for p in range(nverts)] + gmasks, dtype=np.int64)[:, None]
+    step = max(1, (1 << 20) // count)  # tests per block, so temporaries stay near 8 MB
+    data = b"".join(
+        np.packbits((survivors & block) == block, axis=1, bitorder="little").tobytes()
+        for block in (tests[k : k + step] for k in range(0, len(tests), step))
+    )
+    bitsets = [int.from_bytes(data[k : k + nbytes], "little") for k in range(0, len(data), nbytes)]
+    has, inside = bitsets[:nverts], bitsets[nverts:]
+    vertex_bits = tests[:nverts, 0]
+    verts = [[p for p in range(nverts) if g >> p & 1] for g in gmasks]
+
+    # Components, one round per component: seed each W's lowest vertex not
+    # yet placed, then add every generator inside W that touches the seed's
+    # component until none does.
+    rounds: list[list[int]] = []
+    rest = has
+    while any(rest):
+        comp, seen = [], 0
+        for r in rest:
+            comp.append(r & ~seen)
+            seen |= r
+        grown = True
+        while grown:
+            grown = False
+            for g_in, vs in zip(inside, verts):
+                touch, full = 0, g_in
+                for p in vs:
+                    touch |= comp[p]
+                    full &= comp[p]
+                new = g_in & touch & ~full
+                if new:
+                    grown = True
+                    for p in vs:
+                        comp[p] |= new
+        rest = [r & ~c for r, c in zip(rest, comp)]
+        if not rounds:
+            split = 0  # the W with a second component
+            for r in rest:
+                split |= r
+        rounds.append(comp)
+
+    # conflict[v][u]: the W in which u does not dominate v, i.e. some
+    # generator g inside W has u in g and (g - u) + v a face of Delta
+    pairs = [(g_in, u) for g_in, vs in zip(inside, verts) for u in vs]
+    minus_u = np.array([g ^ 1 << u for g, vs in zip(gmasks, verts) for u in vs], dtype=np.int64)
+    face_with = is_face[(minus_u[:, None] | vertex_bits) - 1].tolist()
+    conflict = [[0] * nverts for _ in range(nverts)]
+    for (g_in, u), flags in zip(pairs, face_with):
+        for v, flag in enumerate(flags):
+            if flag:
+                conflict[v][u] |= g_in
+    dominated = []
+    for v, row in enumerate(conflict):
+        d = 0
+        for u, c in enumerate(row):
+            if u != v:
+                d |= has[u] & ~c
+        dominated.append(d & has[v] & ~split)
+
+    flat = [split, *dominated, *(c for comp in rounds for c in comp)]
+    raw = np.frombuffer(b"".join(x.to_bytes(nbytes, "little") for x in flat), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(flat), nbytes), axis=1, count=count, bitorder="little")
+    by_vertex = bits[1 : 1 + nverts]
+    collapse = np.where(by_vertex.any(axis=0), by_vertex.argmax(axis=0), -1).tolist()
+    plan: list[tuple[int, tuple[int, ...] | None]] = [
+        (w, None if v < 0 else (w ^ 1 << v,)) for w, v in zip(survivors.tolist(), collapse)
+    ]
+    joins = np.flatnonzero(bits[0])
+    comps = bits[1 + nverts :].reshape(len(rounds), nverts, count)[:, :, joins]
+    for t, parts in zip(joins.tolist(), (vertex_bits @ comps).T.tolist()):
+        plan[t] = (plan[t][0], tuple(c for c in parts if c))
+    return plan
+
+
 def betti_hochster(
     ideal: MonomialIdeal, field: FieldSpec = GF2, cap: int = DEFAULT_CAP
 ) -> BettiTable:
     """Betti table of R/I by summing homology of induced subcomplexes.
 
-    Subsets containing a vertex that lies in no generator inside the subset
-    are skipped (their subcomplex is a cone).
+    Hochster's formula sums dim H~_{j-i-1}(Delta_W) over the vertex subsets
+    W with |W| = j. Three steps, over the subsets W that survive cone pruning
+    (the generators inside W cover it; otherwise Delta_W is a cone):
+
+    - plan: ``_plan`` takes the homology of a join or of a strong collapse
+      from smaller subsets, and leaves every other W to be ranked;
+    - rows: the boundary rows of the faces inside some ranked W, a
+      subcomplex, are built once; nothing is built when no W is ranked;
+    - evaluate: in mask order, so every proper subset of W comes first, each
+      W's Poincare series is ranked or multiplied out of the memo, which
+      keeps only nonzero series.
     """
     if ideal.is_unit:
         raise InputError("Betti table of the unit ideal is not defined")
@@ -313,16 +433,34 @@ def betti_hochster(
         inside = (masks & g) == g
         is_face &= ~inside
         covered |= np.where(inside, np.int64(g), np.int64(0))
-    faces = masks[is_face]
-    rows = np.empty(len(faces), dtype=object)
-    rows[:] = _boundary_rows(faces.tolist(), char)
-    for w in masks[covered == masks].tolist():
-        sel = rows[(faces & ~w) == 0].tolist()
-        size = w.bit_count()
-        for d, h in _homology_dims_from_faces(sel, char).items():
-            i = size - 1 - d
-            if i >= 1:
-                table[(i, size)] = table.get((i, size), 0) + h
+    plan = _plan(masks[covered == masks], gmasks, is_face, len(used))
+
+    ranked = [w for w, parts in plan if parts is None]
+    if ranked:
+        # mark the ranked W, then every subset of one, a bit at a time
+        below = np.zeros(1 << len(used), dtype=bool)
+        below[ranked] = True
+        for b in range(len(used)):
+            halves = below.reshape(-1, 2, 1 << b)
+            halves[:, 0] |= halves[:, 1]
+        faces = masks[is_face & below[1:]]
+        rows = np.empty(len(faces), dtype=object)
+        rows[:] = _boundary_rows(faces.tolist(), char)
+
+    memo: dict[int, dict[int, int]] = {}
+    for w, parts in plan:
+        if parts is None:
+            dims = _homology_dims_from_faces(rows[(faces & ~w) == 0].tolist(), char)
+            series = {d + 1: h for d, h in dims.items()}
+        else:
+            series = {0: 1}
+            for part in parts:
+                series = _join_series(series, memo.get(part, {}))
+        if series:
+            memo[w] = series
+            size = w.bit_count()
+            for k, h in series.items():
+                table[(size - k, size)] = table.get((size - k, size), 0) + h
     return BettiTable.from_dict(table)
 
 

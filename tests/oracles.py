@@ -9,8 +9,8 @@ These deliberately share no search logic with the package:
   ``rank_mod_p`` and ``BettiTable`` with the package's Hochster route.
 
 The one exception is the unpruned Hochster sum, which reuses the package's
-homology routine so that it differs from ``betti_hochster`` only in skipping
-no cone.
+homology routine so that it differs from ``betti_hochster`` only in ranking
+every subcomplex: it skips no cone and applies no join or collapse rule.
 """
 
 from __future__ import annotations

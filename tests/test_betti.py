@@ -3,6 +3,7 @@ import copy
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pathideals import betti
 from pathideals.betti import (
     BettiTable,
     DEFAULT_CAP,
@@ -19,9 +20,10 @@ from pathideals.betti import (
     regularity,
 )
 from pathideals.errors import CapacityError, InputError
-from pathideals.generators import random_graph
+from pathideals.generators import SplitMix64, random_graph, tree_from_rng
 from pathideals.graphs import Graph
 from pathideals.ideals import MonomialIdeal, path_ideal, unit_ideal, zero_ideal
+from pathideals.matching import nu3
 
 from oracles import (
     betti_hochster_unpruned,
@@ -119,7 +121,7 @@ def test_rank_of_sparse_sign_matrices(rows):
 
 
 # rows with an entry that vanishes mod 3 ({2: 3, ...}, {..., 0: 6}) and pivots
-# other than +-1 over Q; betti_hochster hands the same rows to every subset
+# other than +-1 over Q; betti_hochster hands the same rows to every ranked subset
 SHARED_ROWS = [{2: 2, 0: 1}, {2: 3, 1: 1}, {2: 1, 1: 3, 0: 6}, {1: -1, 0: 2}, {1: 5}]
 
 
@@ -286,6 +288,71 @@ def test_cone_pruning_soundness():
         g = random_graph(1 + k % 8, (0.2, 0.4)[k % 2], seed=5000 + k)
         i3 = path_ideal(g, 3)
         assert betti_hochster(i3) == betti_hochster_unpruned(i3)
+
+
+@st.composite
+def two_block_ideals(draw):
+    """Ideals on n = 7..9 whose generators lie in two disjoint vertex blocks.
+
+    Every subset meeting both blocks' generators is a join. Degrees run 1-4,
+    so bare variables (vertices outside the complex) and mixed degrees occur.
+    """
+    n = draw(st.integers(7, 9))
+    cut = draw(st.integers(3, n - 3))
+
+    def block(lo, hi):
+        gens = st.sets(st.integers(lo, hi - 1), min_size=1, max_size=4).map(frozenset)
+        return st.sets(gens, min_size=1, max_size=5)
+
+    return MonomialIdeal(n, frozenset(draw(block(0, cut)) | draw(block(cut, n))))
+
+
+@given(two_block_ideals(), st.sampled_from([GF2, GF3, QQ]))
+@settings(max_examples=40)
+@example(ideal(8, (0,), (1, 2, 3), (2, 3, 4), (5, 6), (6, 7)), QQ)
+@example(ideal(9, *RP2_NONFACES, (6,), (7, 8)), GF2)
+def test_join_and_collapse_rules_match_the_references(i, field):
+    table = betti_hochster(i, field)
+    assert table == betti_hochster_unpruned(i, field)
+    assert table == betti_koszul_oracle(i, field)
+
+
+def count_ranked(monkeypatch) -> list[int]:
+    """Record the face count of every complex betti_hochster ranks."""
+    ranked = []
+    original = betti._homology_dims_from_faces
+
+    def counted(rows, char):
+        ranked.append(len(rows))
+        return original(rows, char)
+
+    monkeypatch.setattr(betti, "_homology_dims_from_faces", counted)
+    return ranked
+
+
+def test_reduction_ranks_few_complexes_on_an_n18_tree(monkeypatch):
+    graph = tree_from_rng(18, SplitMix64(1))
+    ranked = count_ranked(monkeypatch)
+    table = betti_hochster(path_ideal(graph, 3))
+    # 26 of the 4,255 surviving subsets are ranked; the rest are joins or collapses
+    assert len(ranked) <= 100
+    assert table.regularity() == 8 == 2 * nu3(graph)[0]
+
+
+def test_reduction_ranks_no_subset_spanning_two_disjoint_paths(monkeypatch):
+    def path(n, first=0):
+        return [(first + k, first + k + 1) for k in range(n - 1)]
+
+    ranked = count_ranked(monkeypatch)
+    counts = []
+    for n, edges in ((7, path(7)), (8, path(8)), (15, path(7) + path(8, first=7))):
+        ranked.clear()
+        betti_hochster(path_ideal(Graph(n, tuple(edges)), 3))
+        counts.append(len(ranked))
+    # a subset inside one path is planned as on that path alone, so any excess
+    # would be a subset spanning both paths, which is a join
+    assert counts[0] > 0 and counts[1] > 0
+    assert counts[2] == counts[0] + counts[1]
 
 
 @given(graph_keys)
