@@ -8,8 +8,9 @@ lying in no generator inside the subset). The test suite referees it with an
 independent upper-Koszul oracle.
 
 The sum runs in three steps. The plan visits the surviving subsets in mask
-order, so every proper subset comes first, and takes the homology of a join
-(Kuenneth) or of a complex with a dominated vertex (a strong collapse) from
+order, so every proper subset comes first, and takes the homology of a
+complex with a dominated vertex (a strong collapse) or, failing that, of a
+join (Kuenneth: the component of the lowest vertex times the rest) from
 smaller subsets, deciding from the generators inside each subset alone.
 The augmented boundary rows of the faces inside the remaining subsets, which
 form a subcomplex, are built once, with one column numbering per dimension.
@@ -309,18 +310,20 @@ def _plan(
     ``parts`` is None when Delta_W must be ranked. Otherwise the Poincare
     series sum_d dim H~_d t^(d+1) of Delta_W is the product of the series of
     the Delta_P, P in ``parts``, each P a proper subset of W, so a smaller
-    mask that comes earlier:
+    mask that comes earlier. The first rule that applies decides:
 
-    - the components of the generators inside W, grouped by shared vertices,
-      when there are two or more: Delta_W is their join (Kuenneth);
     - the single subset W - v when some u in W dominates v in Delta_W: every
       face with v stays a face with u added, so Delta_W strong-collapses onto
       Delta_{W-v} (Barmak-Minian). A non-survivor W - v has zero homology.
+    - the pair C, W - C when the component C of W's lowest vertex, grouping
+      the generators inside W by shared vertices, is not all of W: Delta_W
+      is the join of Delta_C and Delta_{W-C} (Kuenneth). Both are
+      survivors, and W - C is peeled the same way in its own turn.
 
     Both hold over every field and read only which generators lie inside W.
     Each test runs on all survivors at once, on int bitsets over the
     survivors: one per vertex (W contains it), per generator (it lies inside
-    W) and per vertex and component (the vertex lies in that component).
+    W) and per vertex again (it lies in C).
     """
     count = len(survivors)
     nbytes = (count + 7) // 8
@@ -334,36 +337,6 @@ def _plan(
     has, inside = bitsets[:nverts], bitsets[nverts:]
     vertex_bits = tests[:nverts, 0]
     verts = [[p for p in range(nverts) if g >> p & 1] for g in gmasks]
-
-    # Components, one round per component: seed each W's lowest vertex not
-    # yet placed, then add every generator inside W that touches the seed's
-    # component until none does.
-    rounds: list[list[int]] = []
-    rest = has
-    while any(rest):
-        comp, seen = [], 0
-        for r in rest:
-            comp.append(r & ~seen)
-            seen |= r
-        grown = True
-        while grown:
-            grown = False
-            for g_in, vs in zip(inside, verts):
-                touch, full = 0, g_in
-                for p in vs:
-                    touch |= comp[p]
-                    full &= comp[p]
-                new = g_in & touch & ~full
-                if new:
-                    grown = True
-                    for p in vs:
-                        comp[p] |= new
-        rest = [r & ~c for r, c in zip(rest, comp)]
-        if not rounds:
-            split = 0  # the W with a second component
-            for r in rest:
-                split |= r
-        rounds.append(comp)
 
     # conflict[v][u]: the W in which u does not dominate v, i.e. some
     # generator g inside W has u in g and (g - u) + v a face of Delta
@@ -381,21 +354,39 @@ def _plan(
         for u, c in enumerate(row):
             if u != v:
                 d |= has[u] & ~c
-        dominated.append(d & has[v] & ~split)
+        dominated.append(d & has[v])
 
-    flat = [split, *dominated, *(c for comp in rounds for c in comp)]
+    # comp[p]: the W whose lowest vertex's component holds p. Seed each W's
+    # lowest vertex, then add every generator inside W that touches the
+    # component until none does.
+    comp, seen = [], 0
+    for r in has:
+        comp.append(r & ~seen)
+        seen |= r
+    grown = True
+    while grown:
+        grown = False
+        for g_in, vs in zip(inside, verts):
+            touch, full = 0, g_in
+            for p in vs:
+                touch |= comp[p]
+                full &= comp[p]
+            new = g_in & touch & ~full
+            if new:
+                grown = True
+                for p in vs:
+                    comp[p] |= new
+
+    flat = dominated + comp
     raw = np.frombuffer(b"".join(x.to_bytes(nbytes, "little") for x in flat), dtype=np.uint8)
     bits = np.unpackbits(raw.reshape(len(flat), nbytes), axis=1, count=count, bitorder="little")
-    by_vertex = bits[1 : 1 + nverts]
+    by_vertex = bits[:nverts]
     collapse = np.where(by_vertex.any(axis=0), by_vertex.argmax(axis=0), -1).tolist()
-    plan: list[tuple[int, tuple[int, ...] | None]] = [
-        (w, None if v < 0 else (w ^ 1 << v,)) for w, v in zip(survivors.tolist(), collapse)
+    lowest = (vertex_bits @ bits[nverts:]).tolist()
+    return [
+        (w, (w ^ 1 << v,) if v >= 0 else (None if c == w else (c, w ^ c)))
+        for w, v, c in zip(survivors.tolist(), collapse, lowest)
     ]
-    joins = np.flatnonzero(bits[0])
-    comps = bits[1 + nverts :].reshape(len(rounds), nverts, count)[:, :, joins]
-    for t, parts in zip(joins.tolist(), (vertex_bits @ comps).T.tolist()):
-        plan[t] = (plan[t][0], tuple(c for c in parts if c))
-    return plan
 
 
 def betti_hochster(
@@ -407,7 +398,7 @@ def betti_hochster(
     W with |W| = j. Three steps, over the subsets W that survive cone pruning
     (the generators inside W cover it; otherwise Delta_W is a cone):
 
-    - plan: ``_plan`` takes the homology of a join or of a strong collapse
+    - plan: ``_plan`` takes the homology of a strong collapse or of a join
       from smaller subsets, and leaves every other W to be ranked;
     - rows: the boundary rows of the faces inside some ranked W, a
       subcomplex, are built once; nothing is built when no W is ranked;

@@ -271,7 +271,7 @@ def graph_from_json_obj(obj: dict) -> Graph:
     try:
         n = int(obj["n"])
         edges = tuple((int(u), int(v)) for u, v in obj["edges"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed graph JSON: {exc}") from exc
     labels = obj.get("labels")
     if labels is None:

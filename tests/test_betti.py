@@ -292,25 +292,32 @@ def test_cone_pruning_soundness():
 
 @st.composite
 def two_block_ideals(draw):
-    """Ideals on n = 7..9 whose generators lie in two disjoint vertex blocks.
+    """Ideals on n = 7..9 whose generators lie in two or three disjoint vertex blocks.
 
-    Every subset meeting both blocks' generators is a join. Degrees run 1-4,
-    so bare variables (vertices outside the complex) and mixed degrees occur.
+    Every subset meeting two blocks' generators is a join, and with three
+    blocks the rest of a join can be a join again. Blocks have at least two
+    vertices. Degrees run 1-4, so bare variables (vertices outside the
+    complex) and mixed degrees occur.
     """
     n = draw(st.integers(7, 9))
-    cut = draw(st.integers(3, n - 3))
-
-    def block(lo, hi):
-        gens = st.sets(st.integers(lo, hi - 1), min_size=1, max_size=4).map(frozenset)
-        return st.sets(gens, min_size=1, max_size=5)
-
-    return MonomialIdeal(n, frozenset(draw(block(0, cut)) | draw(block(cut, n))))
+    sizes = [2] * draw(st.integers(2, 3))
+    for _ in range(n - 2 * len(sizes)):
+        sizes[draw(st.integers(0, len(sizes) - 1))] += 1
+    gens, lo = set(), 0
+    for size in sizes:
+        block = st.sets(st.integers(lo, lo + size - 1), min_size=1, max_size=4).map(frozenset)
+        gens |= draw(st.sets(block, min_size=1, max_size=5))
+        lo += size
+    return MonomialIdeal(n, frozenset(gens))
 
 
 @given(two_block_ideals(), st.sampled_from([GF2, GF3, QQ]))
 @settings(max_examples=40)
 @example(ideal(8, (0,), (1, 2, 3), (2, 3, 4), (5, 6), (6, 7)), QQ)
 @example(ideal(9, *RP2_NONFACES, (6,), (7, 8)), GF2)
+@example(ideal(9, (0, 1), (1, 2), (3, 4, 5), (6,), (7, 8)), QQ)
+# one pass over the generators misses part of the component of vertex 2
+@example(ideal(9, (0, 1), (2, 3, 8), (2, 6, 7, 8), (3, 5, 6, 7), (4, 5, 7, 8)), GF2)
 def test_join_and_collapse_rules_match_the_references(i, field):
     table = betti_hochster(i, field)
     assert table == betti_hochster_unpruned(i, field)
@@ -340,19 +347,26 @@ def test_reduction_ranks_few_complexes_on_an_n18_tree(monkeypatch):
 
 
 def test_reduction_ranks_no_subset_spanning_two_disjoint_paths(monkeypatch):
-    def path(n, first=0):
-        return [(first + k, first + k + 1) for k in range(n - 1)]
-
     ranked = count_ranked(monkeypatch)
-    counts = []
-    for n, edges in ((7, path(7)), (8, path(8)), (15, path(7) + path(8, first=7))):
+
+    def ranked_and_reg(*lengths):
+        """Ranked count and reg(R/I3) of a forest of disjoint paths with these vertex counts."""
+        edges, first = [], 0
+        for n in lengths:
+            edges += [(first + k, first + k + 1) for k in range(n - 1)]
+            first += n
         ranked.clear()
-        betti_hochster(path_ideal(Graph(n, tuple(edges)), 3))
-        counts.append(len(ranked))
+        reg = betti_hochster(path_ideal(Graph(first, tuple(edges)), 3)).regularity()
+        return len(ranked), reg
+
     # a subset inside one path is planned as on that path alone, so any excess
-    # would be a subset spanning both paths, which is a join
-    assert counts[0] > 0 and counts[1] > 0
-    assert counts[2] == counts[0] + counts[1]
+    # would be a subset spanning two paths, which is a join
+    (c7, r7), (c8, r8) = ranked_and_reg(7), ranked_and_reg(8)
+    assert c7 > 0 and c8 > 0
+    assert ranked_and_reg(7, 8) == (c7 + c8, r7 + r8)
+    # with three paths, the rest of such a join can be a join again
+    assert [ranked_and_reg(n) for n in (5, 6, 7)] == [(3, 2), (4, 2), (5, 4)]
+    assert ranked_and_reg(5, 6, 7) == (3 + 4 + 5, 2 + 2 + 4)
 
 
 @given(graph_keys)

@@ -211,6 +211,19 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [("reg", '{"n": 1e400, "edges": []}'), ("nu3", '{"n": 3, "edges": [[0, 1e400]]}')],
+    ids=["huge-n", "huge-vertex"],
+)
+def test_out_of_range_json_number_is_an_input_error(tmp_path, capsys, command, text):
+    bad = tmp_path / "huge.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, command, str(bad))
+    assert (code, out) == (2, "")
+    assert err == "input error: malformed graph JSON: cannot convert float infinity to integer\n"
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "nu3", "no-such-file.txt")
     assert code == 2

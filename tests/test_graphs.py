@@ -238,6 +238,10 @@ def test_parse_graph_sniffs_json(caterpillar):
         parse_graph('{"edges": [[0, 1]]}')
     with pytest.raises(InputError):
         parse_graph("{broken json")
+    # json reads 1e400 as float infinity, which int() cannot convert
+    for text in ('{"n": 1e400, "edges": []}', '{"n": 3, "edges": [[0, 1e400]]}'):
+        with pytest.raises(InputError, match="malformed graph JSON"):
+            parse_graph(text)
 
 
 def test_load_graph_names_the_file_on_undecodable_input(tmp_path):
