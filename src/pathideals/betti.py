@@ -15,7 +15,11 @@ smaller subsets, deciding from the generators inside each subset alone.
 The augmented boundary rows of the faces inside the remaining subsets, which
 form a subcomplex, are built once, with one column numbering per dimension.
 Each remaining subset selects the rows of its faces and is ranked; the
-others are multiplied out of a memo.
+others are multiplied out of a memo. A fourth rule picks what is ranked:
+when some W - v is nonempty and Delta_{W-v} is acyclic (its series is not in
+the memo), the link of v in Delta_W is ranked instead, its homology shifted
+up by one degree (Mayer-Vietoris over the star of v, a cone). The link has
+about a third of Delta_W's faces on dense graphs.
 
 Ranks are exact and come from one reduction by leading column, in two
 kernels: rows packed as int bitsets over GF(2), and sparse {column: entry}
@@ -405,6 +409,15 @@ def betti_hochster(
     - evaluate: in mask order, so every proper subset of W comes first, each
       W's Poincare series is ranked or multiplied out of the memo, which
       keeps only nonzero series.
+
+    A ranked W with a vertex v such that W - v is nonempty and has no series
+    in the memo (Delta_{W-v} is acyclic: a cone or zero homology) ranks the
+    link of v instead of Delta_W, taking the lowest such v. Delta_W is the
+    union of Delta_{W-v} and the star of v, a cone, which meet in lk(v), so
+    reduced Mayer-Vietoris gives H~_d(Delta_W) = H~_{d-1}(lk v) over every
+    field. W - v must be nonempty: Delta_{} = {empty set} has H~_{-1} = 1.
+    Every vertex of a ranked W with two or more vertices is a vertex of
+    Delta_W, since a generator {v} inside W would make v dominated.
     """
     if ideal.is_unit:
         raise InputError("Betti table of the unit ideal is not defined")
@@ -435,14 +448,23 @@ def betti_hochster(
             halves = below.reshape(-1, 2, 1 << b)
             halves[:, 0] |= halves[:, 1]
         faces = masks[is_face & below[1:]]
-        rows = np.empty(len(faces), dtype=object)
-        rows[:] = _boundary_rows(faces.tolist(), char)
+        face_list = faces.tolist()
+        row_of = dict(zip(face_list, _boundary_rows(face_list, char)))
+        bits = [1 << p for p in range(len(used))]
 
     memo: dict[int, dict[int, int]] = {}
     for w, parts in plan:
         if parts is None:
-            dims = _homology_dims_from_faces(rows[(faces & ~w) == 0].tolist(), char)
-            series = {d + 1: h for d, h in dims.items()}
+            own = faces[(faces & ~w) == 0].tolist()
+            # the lowest v with Delta_{W-v} acyclic: W - v nonempty, no series in the memo
+            v = next((b for b in bits if w & b and b != w and w ^ b not in memo), 0)
+            if v:
+                # rank lk(v) = {F - v : v in F in Delta_W, F != {v}}, whose faces
+                # are faces of Delta_W too, so their rows are already built
+                own = [f ^ v for f in own if f & v and f != v]
+            dims = _homology_dims_from_faces([row_of[f] for f in own], char)
+            shift = 2 if v else 1
+            series = {d + shift: h for d, h in dims.items()}
         else:
             series = {0: 1}
             for part in parts:

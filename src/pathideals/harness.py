@@ -240,7 +240,7 @@ def monotone_deletions(ctx: GraphContext) -> VerificationReport:
 
 def broom_drop(ctx: GraphContext) -> VerificationReport:
     """nu3 drops by at most one when the broom vertex's edge is removed."""
-    drop = check_nu3_broom_drop(ctx.graph)
+    drop = check_nu3_broom_drop(ctx.graph, ctx.nu3)
     detail = f"edge={drop.edge}, nu3_remainder={drop.nu3_remainder}, nu3={drop.nu3_graph}"
     return ctx.report(CheckResult("broom_edge_drop", drop.holds, detail), nu3=drop.nu3_graph)
 

@@ -82,11 +82,12 @@ class BroomDropReport:
         return self.nu3_remainder <= self.nu3_graph - 1
 
 
-def check_nu3_broom_drop(graph: Graph) -> BroomDropReport:
+def check_nu3_broom_drop(graph: Graph, nu3_graph: int | None = None) -> BroomDropReport:
     """For a tree, deleting N[e] of the broom edge drops nu3 by at least one.
 
     The broom edge joins the broom vertex to its designated last neighbor
-    (the only one allowed to be a non-leaf).
+    (the only one allowed to be a non-leaf). ``nu3_graph``, when given, is
+    taken as nu3 of the whole tree instead of computing it again.
     """
     if classify(graph).kind != "tree":
         raise InputError("the broom-edge drop check requires a tree")
@@ -96,4 +97,6 @@ def check_nu3_broom_drop(graph: Graph) -> BroomDropReport:
         w for w in range(graph.n) if w not in graph.closed_edge_neighborhood(v, last)
     ]
     sub, _ = graph.induced_subgraph(remainder)
-    return BroomDropReport(v, (v, last), nu3(sub)[0], nu3(graph)[0])
+    if nu3_graph is None:
+        nu3_graph = nu3(graph)[0]
+    return BroomDropReport(v, (v, last), nu3(sub)[0], nu3_graph)

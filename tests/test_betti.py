@@ -20,9 +20,9 @@ from pathideals.betti import (
     regularity,
 )
 from pathideals.errors import CapacityError, InputError
-from pathideals.generators import SplitMix64, random_graph, tree_from_rng
+from pathideals.generators import SplitMix64, graph_from_rng, random_graph, tree_from_rng
 from pathideals.graphs import Graph
-from pathideals.ideals import MonomialIdeal, path_ideal, unit_ideal, zero_ideal
+from pathideals.ideals import MonomialIdeal, colon, path_ideal, unit_ideal, zero_ideal
 from pathideals.matching import nu3
 
 from oracles import (
@@ -367,6 +367,69 @@ def test_reduction_ranks_no_subset_spanning_two_disjoint_paths(monkeypatch):
     # with three paths, the rest of such a join can be a join again
     assert [ranked_and_reg(n) for n in (5, 6, 7)] == [(3, 2), (4, 2), (5, 4)]
     assert ranked_and_reg(5, 6, 7) == (3 + 4 + 5, 2 + 2 + 4)
+
+
+@given(
+    st.tuples(st.integers(6, 8), st.sampled_from([0.3, 0.4]), st.integers(0, 10**9)),
+    st.integers(0, 10**6),
+    st.booleans(),
+    st.sampled_from([GF2, GF3, QQ]),
+)
+@settings(max_examples=40)
+# (I3 : x0) has ten degree-2 generators; 10 of its 16 ranked subsets rank a link
+@example((8, 0.3, 3), 0, False, GF3)
+# (I3 : x0 x2) is x6 and four cubics; 4 of its 6 ranked subsets rank a link
+@example((8, 0.3, 7), 0, True, QQ)
+def test_link_rule_on_colon_ideals_matches_the_references(key, pick, by_edge, field):
+    # colons of I3 by a vertex or an edge mix degrees 1, 2 and 3, so ranked
+    # subsets often have a cone or an acyclic complex one vertex below them
+    n, p, seed = key
+    g = random_graph(n, p, seed)
+    m = g.edges[pick % len(g.edges)] if by_edge and g.edges else (pick % n,)
+    i = colon(path_ideal(g, 3), m)
+    if i.is_unit:
+        return
+    table = betti_hochster(i, field)
+    assert table == betti_hochster_unpruned(i, field)
+    assert table == betti_koszul_oracle(i, field)
+
+
+# Delta_{0..5, 7} is a cone on 7, so the whole complex ranks the link of 6:
+# RP^2 (31 faces) plus the cone from 7 over its triangle 034 (8 faces)
+RP2_AS_A_LINK = ideal(8, *RP2_NONFACES, (1, 6, 7), (2, 6, 7), (5, 6, 7))
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=lambda f: f.token)
+def test_link_rule_sees_the_torsion_of_rp2(monkeypatch, field):
+    ranked = []
+    original = betti._homology_dims_from_faces
+
+    def recorded(rows, char):
+        ranked.append((len(rows), original(rows, char)))
+        return ranked[-1][1]
+
+    monkeypatch.setattr(betti, "_homology_dims_from_faces", recorded)
+    table = betti_hochster(RP2_AS_A_LINK, field)
+    assert table == betti_hochster_unpruned(RP2_AS_A_LINK, field)
+    assert table == betti_koszul_oracle(RP2_AS_A_LINK, field)
+    torsion = field.characteristic == 2
+    # the whole vertex set has the largest mask, so it is ranked last
+    assert ranked[-1] == (39, {1: 1, 2: 1} if torsion else {})
+    assert (table.as_dict().get((4, 8), 0), table.as_dict().get((5, 8), 0)) == (
+        (1, 1) if torsion else (0, 0)
+    )
+
+
+def test_link_rule_ranks_smaller_complexes_on_g16(monkeypatch):
+    graph = graph_from_rng(16, 0.3, SplitMix64(1))
+    ranked = count_ranked(monkeypatch)
+    table = betti_hochster(path_ideal(graph, 3))
+    # the link rule changes what is ranked, not which subsets: 8,818 of 21,090
+    # survivors, with 664,276 face rows in all (1,974,528 when each whole
+    # Delta_W was ranked)
+    assert len(ranked) == 8818
+    assert sum(ranked) <= 664_276
+    assert table.regularity() == 4 == 2 * nu3(graph)[0]
 
 
 @given(graph_keys)

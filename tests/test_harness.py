@@ -242,6 +242,25 @@ def test_verify_graph_all_computes_each_betti_table_once(monkeypatch, c7_tail):
     assert len(calls) == 68
 
 
+def test_verify_graph_all_computes_nu3_of_the_graph_once(monkeypatch, caterpillar):
+    from pathideals import harness, matching
+
+    graphs = []
+    real = matching.nu3
+
+    def counting(graph):
+        graphs.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(harness, "nu3", counting)
+    monkeypatch.setattr(matching, "nu3", counting)
+    reports = verify_graph(caterpillar, "all")
+    assert reports[-1].checks[0].name == "broom_edge_drop" and reports[-1].passed
+    # the broom check takes nu3(G) from the context; it computes only the remainder's
+    assert graphs.count(caterpillar) == 1
+    assert len(graphs) == 2
+
+
 def test_registry_order_is_the_report_order(caterpillar):
     assert WHICH_CHOICES == ("all", *CHECKS)
     reports = verify_graph(caterpillar, "all")
