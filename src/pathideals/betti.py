@@ -311,10 +311,12 @@ def _plan(
 ) -> list[tuple[int, tuple[int, ...] | None]]:
     """How each surviving subset W gets its homology, as (W, parts) in mask order.
 
-    ``parts`` is None when Delta_W must be ranked. Otherwise the Poincare
-    series sum_d dim H~_d t^(d+1) of Delta_W is the product of the series of
-    the Delta_P, P in ``parts``, each P a proper subset of W, so a smaller
-    mask that comes earlier. The first rule that applies decides:
+    ``is_face[W]`` says whether W is a face of Delta (no generator lies
+    inside it), for every mask W, 0 included. ``parts`` is None when Delta_W
+    must be ranked. Otherwise the Poincare series sum_d dim H~_d t^(d+1) of
+    Delta_W is the product of the series of the Delta_P, P in ``parts``, each
+    P a proper subset of W, so a smaller mask that comes earlier. The first
+    rule that applies decides:
 
     - the single subset W - v when some u in W dominates v in Delta_W: every
       face with v stays a face with u added, so Delta_W strong-collapses onto
@@ -346,7 +348,7 @@ def _plan(
     # generator g inside W has u in g and (g - u) + v a face of Delta
     pairs = [(g_in, u) for g_in, vs in zip(inside, verts) for u in vs]
     minus_u = np.array([g ^ 1 << u for g, vs in zip(gmasks, verts) for u in vs], dtype=np.int64)
-    face_with = is_face[(minus_u[:, None] | vertex_bits) - 1].tolist()
+    face_with = is_face[minus_u[:, None] | vertex_bits].tolist()
     conflict = [[0] * nverts for _ in range(nverts)]
     for (g_in, u), flags in zip(pairs, face_with):
         for v, flag in enumerate(flags):
@@ -400,7 +402,11 @@ def betti_hochster(
 
     Hochster's formula sums dim H~_{j-i-1}(Delta_W) over the vertex subsets
     W with |W| = j. Three steps, over the subsets W that survive cone pruning
-    (the generators inside W cover it; otherwise Delta_W is a cone):
+    (the generators inside W cover it; otherwise Delta_W is a cone). One
+    closure over all 2^n masks finds them: seeded with each generator at its
+    own mask and OR-ed up into every superset, a bit at a time, it leaves at
+    each W the union of the generators inside W. W is a face where that
+    union is 0 and survives where it is W itself.
 
     - plan: ``_plan`` takes the homology of a strong collapse or of a join
       from smaller subsets, and leaves every other W to be ranked;
@@ -430,14 +436,16 @@ def betti_hochster(
     used = sorted(set().union(*ideal.gens))
     pos = {v: k for k, v in enumerate(used)}
     gmasks = [sum(1 << pos[v] for v in g) for g in ideal.gens]
-    masks = np.arange(1, 1 << len(used), dtype=np.int64)
-    is_face = np.ones(masks.shape, dtype=bool)
-    covered = np.zeros(masks.shape, dtype=np.int64)
-    for g in gmasks:
-        inside = (masks & g) == g
-        is_face &= ~inside
-        covered |= np.where(inside, np.int64(g), np.int64(0))
-    plan = _plan(masks[covered == masks], gmasks, is_face, len(used))
+    # covered[W]: the union of the generators inside W
+    covered = np.zeros(1 << len(used), dtype=np.int64)
+    covered[gmasks] = gmasks
+    for b in range(len(used)):
+        halves = covered.reshape(-1, 2, 1 << b)
+        halves[:, 1] |= halves[:, 0]
+    is_face = covered == 0
+    survivors = np.flatnonzero(covered == np.arange(1 << len(used)))[1:]
+    del covered
+    plan = _plan(survivors, gmasks, is_face, len(used))
 
     ranked = [w for w, parts in plan if parts is None]
     if ranked:
@@ -447,7 +455,7 @@ def betti_hochster(
         for b in range(len(used)):
             halves = below.reshape(-1, 2, 1 << b)
             halves[:, 0] |= halves[:, 1]
-        faces = masks[is_face & below[1:]]
+        faces = np.flatnonzero(is_face & below)[1:]
         face_list = faces.tolist()
         row_of = dict(zip(face_list, _boundary_rows(face_list, char)))
         bits = [1 << p for p in range(len(used))]

@@ -138,12 +138,6 @@ class Graph:
         labels = tuple(self.labels[v] for v in keep) if self.labels is not None else None
         return Graph(len(keep), tuple(edges), labels), remap
 
-    def delete(self, vertices: Iterable[int]) -> "Graph":
-        """Induced subgraph on the complement of the given vertex set."""
-        drop = set(vertices)
-        sub, _ = self.induced_subgraph(v for v in range(self.n) if v not in drop)
-        return sub
-
     def edges_within(self, vertices: Iterable[int]) -> list[Edge]:
         keep = set(vertices)
         return [(u, v) for u, v in self.edges if u in keep and v in keep]

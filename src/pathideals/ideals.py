@@ -57,14 +57,6 @@ class MonomialIdeal:
         return frozenset() in self.gens
 
 
-def zero_ideal(n: int) -> MonomialIdeal:
-    return MonomialIdeal(n, frozenset())
-
-
-def unit_ideal(n: int) -> MonomialIdeal:
-    return MonomialIdeal(n, frozenset({frozenset()}))
-
-
 def colon(ideal: MonomialIdeal, m: Iterable[int]) -> MonomialIdeal:
     """(I : m) for a squarefree monomial m: strip m from every generator."""
     support = frozenset(m)

@@ -22,7 +22,7 @@ from pathideals.betti import (
 from pathideals.errors import CapacityError, InputError
 from pathideals.generators import SplitMix64, graph_from_rng, random_graph, tree_from_rng
 from pathideals.graphs import Graph
-from pathideals.ideals import MonomialIdeal, colon, path_ideal, unit_ideal, zero_ideal
+from pathideals.ideals import MonomialIdeal, colon, path_ideal
 from pathideals.matching import nu3
 
 from oracles import (
@@ -149,7 +149,7 @@ def test_homology_conventions():
     # each complex is given by the ideal of its minimal non-faces
     triangle_boundary = ideal(3, (0, 1, 2))
     assert reduced_homology_dims(triangle_boundary, range(3)) == [0, 0, 1, 0]
-    simplex = zero_ideal(3)
+    simplex = ideal(3)
     assert reduced_homology_dims(simplex, range(3)) == [0, 0, 0, 0]
     two_points = ideal(2, (0, 1))
     assert reduced_homology_dims(two_points, range(2)) == [0, 1, 0]
@@ -324,6 +324,44 @@ def test_join_and_collapse_rules_match_the_references(i, field):
     assert table == betti_koszul_oracle(i, field)
 
 
+@st.composite
+def ambient_ideals(draw):
+    """Ideals of degree 1-4 whose generators often leave ambient vertices unused."""
+    n = draw(st.integers(3, 9))
+    gen = st.sets(st.integers(0, n - 1), min_size=1, max_size=4).map(frozenset)
+    return MonomialIdeal(n, frozenset(draw(st.sets(gen, min_size=1, max_size=6))))
+
+
+@given(ambient_ideals())
+@settings(max_examples=60)
+@example(ideal(5, (0,), (1, 2)))
+# a bare variable on the top bit, and used vertices 1, 3, 4, 6 in an ambient of 9
+@example(ideal(9, (1, 3), (3, 4), (6,)))
+# the top ambient vertex inside a cubic, with degrees 2 and 3 mixed
+@example(ideal(9, (2, 4, 7), (4, 7, 8), (0, 2)))
+def test_plan_gets_the_survivors_and_faces_of_every_mask(i):
+    seen = []
+    original = betti._plan
+
+    def captured(survivors, gmasks, is_face, nverts):
+        seen.append((survivors.tolist(), gmasks, is_face.tolist(), nverts))
+        return original(survivors, gmasks, is_face, nverts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(betti, "_plan", captured)
+        assert betti_hochster(i) == betti_hochster_unpruned(i)
+    [(survivors, gmasks, is_face, nverts)] = seen
+    used = sorted(set().union(*i.gens))
+    assert nverts == len(used)
+    assert sorted(gmasks) == sorted(sum(1 << used.index(v) for v in g) for g in i.gens)
+    inside = [[g for g in gmasks if g & ~w == 0] for w in range(1 << nverts)]
+    # W survives when the generators inside it cover it; W = {} never does
+    union = [sum(1 << p for p in range(nverts) if any(g >> p & 1 for g in gs)) for gs in inside]
+    assert survivors == [w for w in range(1, 1 << nverts) if union[w] == w]
+    # is_face[W] for every mask W, the empty face included
+    assert is_face == [not gs for gs in inside]
+
+
 def count_ranked(monkeypatch) -> list[int]:
     """Record the face count of every complex betti_hochster ranks."""
     ranked = []
@@ -451,21 +489,21 @@ def test_fixture_tables_are_field_independent(caterpillar, c5_pendant, c6_pendan
 
 
 def test_zero_and_unit_ideals():
-    table = betti_hochster(zero_ideal(5))
+    table = betti_hochster(ideal(5))
     assert table.entries == ((0, 0, 1),)
-    assert regularity(zero_ideal(5)) == 0
-    assert regularity(unit_ideal(5)) == NEG_INF
+    assert regularity(ideal(5)) == 0
+    assert regularity(ideal(5, ())) == NEG_INF
     with pytest.raises(InputError):
-        betti_hochster(unit_ideal(5))
+        betti_hochster(ideal(5, ()))
 
 
 def test_capacity_errors():
     with pytest.raises(CapacityError, match="cap"):
-        betti_hochster(zero_ideal(DEFAULT_CAP + 1))
+        betti_hochster(ideal(DEFAULT_CAP + 1))
     with pytest.raises(CapacityError):
-        betti_hochster(zero_ideal(6), cap=5)
+        betti_hochster(ideal(6), cap=5)
     # the override flag lifts the cap
-    assert betti_hochster(zero_ideal(6), cap=6).entries == ((0, 0, 1),)
+    assert betti_hochster(ideal(6), cap=6).entries == ((0, 0, 1),)
 
 
 def test_ses_bound_p4():

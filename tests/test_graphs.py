@@ -127,15 +127,6 @@ def test_induced_subgraph(caterpillar):
     assert sub.edges == ((0, 1), (1, 2))
 
 
-def test_delete(caterpillar):
-    # dropping the leaf x7 leaves the 6-vertex spine
-    spine = caterpillar.delete([6])
-    assert spine == Graph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)), caterpillar.labels[:6])
-    assert caterpillar.delete([]) == Graph(7, caterpillar.edges, caterpillar.labels)
-    empty = caterpillar.delete(range(7))
-    assert empty.n == 0 and empty.edges == ()
-
-
 @given(graphs, st.integers(0, 10**9))
 def test_induced_subgraph_composes(g, seed):
     import random

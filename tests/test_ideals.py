@@ -13,9 +13,7 @@ from pathideals.ideals import (
     minimalize,
     path_ideal,
     path_ideal_within,
-    unit_ideal,
     vertex_colon_closed_form,
-    zero_ideal,
 )
 
 P3 = Graph(3, ((0, 1), (1, 2)))
@@ -61,8 +59,8 @@ def test_minimalize_order_independent(gens, rnd):
 def test_ideal_normalizes_on_construction():
     i = ideal(3, (0,), (0, 1))
     assert i.gens == {frozenset({0})}
-    assert unit_ideal(2).is_unit
-    assert zero_ideal(2).is_zero
+    assert ideal(2, ()).is_unit
+    assert ideal(2).is_zero
     with pytest.raises(InputError):
         ideal(2, (5,))
 
@@ -96,7 +94,7 @@ def test_colon_composes(gens, a, b):
 def test_add_absorption():
     i3 = path_ideal(P4, 3)
     assert add_monomial(i3, {1, 2}) == ideal(4, (1, 2))
-    assert add_vars(zero_ideal(3), [0, 2]) == ideal(3, (0,), (2,))
+    assert add_vars(ideal(3), [0, 2]) == ideal(3, (0,), (2,))
 
 
 def test_edge_colon_closed_form_small_paths():
