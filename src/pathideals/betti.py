@@ -13,7 +13,9 @@ complex with a dominated vertex (a strong collapse) or, failing that, of a
 join (Kuenneth: the component of the lowest vertex times the rest) from
 smaller subsets, deciding from the generators inside each subset alone.
 The augmented boundary rows of the faces inside the remaining subsets, which
-form a subcomplex, are built once, with one column numbering per dimension.
+form a subcomplex, are built once, with one column numbering per dimension;
+there is always such a subset, since a generator's support, whose complex
+is the boundary of a simplex, is never reduced.
 Each remaining subset selects the rows of its faces and is ranked; the
 others are multiplied out of a memo. A fourth rule picks what is ranked:
 when some W - v is nonempty and Delta_{W-v} is acyclic (its series is not in
@@ -289,14 +291,6 @@ class BettiTable:
         return "\n".join([head, total, *body])
 
 
-def _check_capacity(ideal: MonomialIdeal, cap: int) -> None:
-    if ideal.n > cap:
-        raise CapacityError(
-            f"ambient n={ideal.n} exceeds the enumeration cap {cap}; "
-            f"raise it with --cap or the {CAP_ENV_VAR} environment variable"
-        )
-
-
 def _join_series(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
     """Poincare series of a join: the product of the factors' series."""
     out: dict[int, int] = {}
@@ -411,7 +405,9 @@ def betti_hochster(
     - plan: ``_plan`` takes the homology of a strong collapse or of a join
       from smaller subsets, and leaves every other W to be ranked;
     - rows: the boundary rows of the faces inside some ranked W, a
-      subcomplex, are built once; nothing is built when no W is ranked;
+      subcomplex, are built once. Some W is always ranked: a generator g
+      survives, and Delta_g, the boundary of a simplex ({empty set} when
+      |g| = 1), has one component and no dominated vertex;
     - evaluate: in mask order, so every proper subset of W comes first, each
       W's Poincare series is ranked or multiplied out of the memo, which
       keeps only nonzero series.
@@ -424,16 +420,24 @@ def betti_hochster(
     field. W - v must be nonempty: Delta_{} = {empty set} has H~_{-1} = 1.
     Every vertex of a ranked W with two or more vertices is a vertex of
     Delta_W, since a generator {v} inside W would make v dominated.
+
+    ``cap`` bounds the vertices the generators use, which size the 2^n
+    arrays; variables in no generator cost nothing.
     """
     if ideal.is_unit:
         raise InputError("Betti table of the unit ideal is not defined")
-    _check_capacity(ideal, cap)
     table: dict[tuple[int, int], int] = {(0, 0): 1}
     if ideal.is_zero:
         return BettiTable.from_dict(table)
     char = field.characteristic
 
     used = sorted(set().union(*ideal.gens))
+    if len(used) > cap:
+        # the ambient n is at least len(used), and is what the user knows
+        raise CapacityError(
+            f"ambient n={ideal.n} exceeds the enumeration cap {cap}; "
+            f"raise it with --cap or the {CAP_ENV_VAR} environment variable"
+        )
     pos = {v: k for k, v in enumerate(used)}
     gmasks = [sum(1 << pos[v] for v in g) for g in ideal.gens]
     # covered[W]: the union of the generators inside W
@@ -447,18 +451,16 @@ def betti_hochster(
     del covered
     plan = _plan(survivors, gmasks, is_face, len(used))
 
-    ranked = [w for w, parts in plan if parts is None]
-    if ranked:
-        # mark the ranked W, then every subset of one, a bit at a time
-        below = np.zeros(1 << len(used), dtype=bool)
-        below[ranked] = True
-        for b in range(len(used)):
-            halves = below.reshape(-1, 2, 1 << b)
-            halves[:, 0] |= halves[:, 1]
-        faces = np.flatnonzero(is_face & below)[1:]
-        face_list = faces.tolist()
-        row_of = dict(zip(face_list, _boundary_rows(face_list, char)))
-        bits = [1 << p for p in range(len(used))]
+    # mark the ranked W, then every subset of one, a bit at a time
+    below = np.zeros(1 << len(used), dtype=bool)
+    below[[w for w, parts in plan if parts is None]] = True
+    for b in range(len(used)):
+        halves = below.reshape(-1, 2, 1 << b)
+        halves[:, 0] |= halves[:, 1]
+    faces = np.flatnonzero(is_face & below)[1:]
+    face_list = faces.tolist()
+    row_of = dict(zip(face_list, _boundary_rows(face_list, char)))
+    bits = [1 << p for p in range(len(used))]
 
     memo: dict[int, dict[int, int]] = {}
     for w, parts in plan:

@@ -79,10 +79,6 @@ def tree_from_pruefer(seq: list[int], n: int) -> Graph:
 
 
 def tree_from_rng(n: int, rng: SplitMix64) -> Graph:
-    if n < 1:
-        raise InputError("trees need at least one vertex")
-    if n <= 2:
-        return Graph(n, ((0, 1),) if n == 2 else ())
     return tree_from_pruefer([rng.below(n) for _ in range(n - 2)], n)
 
 

@@ -245,8 +245,7 @@ def parse_edge_list(text: str) -> Graph:
         u = ids.setdefault(a, len(ids))
         v = ids.setdefault(b, len(ids))
         edges.append(canon_edge(u, v))
-    labels = tuple(sorted(ids, key=ids.get))
-    return Graph(len(ids), tuple(edges), labels or None)
+    return Graph(len(ids), tuple(edges), tuple(ids) or None)
 
 
 def to_edge_list(graph: Graph) -> str:

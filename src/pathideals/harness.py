@@ -300,10 +300,7 @@ CHECKS: dict[str, Check] = {
         lambda ctx: [monotone_deletions(ctx)],
         lambda ctx, rng: betti_monotonicity(ctx, [v for v in range(ctx.graph.n) if rng.below(2) == 0]),
     ),
-    "broom": _whole_graph(
-        lambda ctx: ctx.kind == "tree" and any(len(ctx.graph.adj[v]) >= 2 for v in range(ctx.graph.n)),
-        broom_drop,
-    ),
+    "broom": _whole_graph(lambda ctx: ctx.kind == "tree" and ctx.graph.n >= 3, broom_drop),
 }
 WHICH_CHOICES = ("all", *CHECKS)
 

@@ -19,7 +19,7 @@ Monomial = frozenset[int]
 
 def minimalize(gens: Iterable[Iterable[int]]) -> frozenset[Monomial]:
     """Unique minimal generating set: drop every support containing another."""
-    supports = sorted({frozenset(g) for g in gens}, key=lambda g: (len(g), sorted(g)))
+    supports = sorted({frozenset(g) for g in gens}, key=len)
     keep: list[Monomial] = []
     for g in supports:
         if not any(h <= g for h in keep):

@@ -37,12 +37,8 @@ def nu3(graph: Graph) -> tuple[int, MatchingCertificate]:
     """
     cands = [p for p in graph.three_paths() if not graph.has_edge(p[0], p[2])]
     vmasks = [sum(1 << v for v in p) for p in cands]
-    blockers = []
-    for p in cands:
-        block = set(p)
-        for v in p:
-            block |= graph.adj[v]
-        blockers.append(sum(1 << v for v in block))
+    closed = [sum(1 << w for w in graph.adj[v]) | 1 << v for v in range(graph.n)]
+    blockers = [closed[a] | closed[b] | closed[c] for a, b, c in cands]
     best_size = 0
     best: tuple[Path3, ...] = ()
     chosen: list[Path3] = []
@@ -52,8 +48,6 @@ def nu3(graph: Graph) -> tuple[int, MatchingCertificate]:
         if len(chosen) > best_size:
             best_size = len(chosen)
             best = tuple(chosen)
-        if len(chosen) + free // 3 <= best_size:
-            return
         for idx in range(start, len(cands)):
             if len(chosen) + min(free // 3, len(cands) - idx) <= best_size:
                 return
@@ -93,10 +87,7 @@ def check_nu3_broom_drop(graph: Graph, nu3_graph: int | None = None) -> BroomDro
         raise InputError("the broom-edge drop check requires a tree")
     v, neighbors = find_broom_vertex(graph)
     last = neighbors[-1]
-    remainder = [
-        w for w in range(graph.n) if w not in graph.closed_edge_neighborhood(v, last)
-    ]
-    sub, _ = graph.induced_subgraph(remainder)
+    sub, _ = graph.induced_subgraph(set(range(graph.n)) - graph.closed_edge_neighborhood(v, last))
     if nu3_graph is None:
         nu3_graph = nu3(graph)[0]
     return BroomDropReport(v, (v, last), nu3(sub)[0], nu3_graph)

@@ -498,12 +498,19 @@ def test_zero_and_unit_ideals():
 
 
 def test_capacity_errors():
-    with pytest.raises(CapacityError, match="cap"):
-        betti_hochster(ideal(DEFAULT_CAP + 1))
-    with pytest.raises(CapacityError):
-        betti_hochster(ideal(6), cap=5)
+    # the cap counts the vertices the generators use: here cap + 1 of them
+    wide = ideal(DEFAULT_CAP + 1, range(DEFAULT_CAP + 1))
+    with pytest.raises(CapacityError, match=f"ambient n={DEFAULT_CAP + 1} exceeds the enumeration cap {DEFAULT_CAP};"):
+        betti_hochster(wide)
+    two_p3s = ideal(6, (0, 1, 2), (3, 4, 5))
+    with pytest.raises(CapacityError, match="ambient n=6 exceeds the enumeration cap 5;"):
+        betti_hochster(two_p3s, cap=5)
     # the override flag lifts the cap
-    assert betti_hochster(ideal(6), cap=6).entries == ((0, 0, 1),)
+    assert betti_hochster(two_p3s, cap=6).regularity() == 4
+    # variables in no generator are free: 23 ambient, 3 used, 8 subsets visited
+    table = betti_hochster(MonomialIdeal(23, frozenset({frozenset({0, 1, 2})})))
+    assert table.entries == ((0, 0, 1), (1, 3, 1))
+    assert betti_hochster(ideal(DEFAULT_CAP + 1)).entries == ((0, 0, 1),)
 
 
 def test_ses_bound_p4():

@@ -262,12 +262,19 @@ def test_search_out_on_an_existing_file_is_an_input_error(tmp_path, capsys):
     assert taken.read_text() == "keep me\n"
 
 
-def test_capacity_exit_code_and_overrides(capsys, monkeypatch):
+def test_capacity_exit_code_and_overrides(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PATHIDEALS_CAP", "5")
     code, _, err = run(capsys, "reg", C5_PENDANT)  # 6 vertices > cap 5
     assert code == 3
     assert "--cap" in err
     code, out, _ = run(capsys, "reg", "--format", "json", "--cap", "6", C5_PENDANT)
+    assert code == 0
+    assert json.loads(out)["reg"] == 2
+    # the cap counts used vertices: one 3-path plus 27 isolated vertices passes it
+    monkeypatch.delenv("PATHIDEALS_CAP")
+    p3_isolated = tmp_path / "p3_isolated.json"
+    p3_isolated.write_text(json.dumps({"n": 30, "edges": [[0, 1], [1, 2]]}))
+    code, out, _ = run(capsys, "reg", "--format", "json", str(p3_isolated))
     assert code == 0
     assert json.loads(out)["reg"] == 2
 

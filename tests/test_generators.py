@@ -8,6 +8,7 @@ from pathideals.generators import (
     random_tree,
     random_unicyclic,
     tree_from_pruefer,
+    tree_from_rng,
 )
 from pathideals.graphs import Graph, classify
 
@@ -53,6 +54,11 @@ def test_random_tree_trivial_cases():
         assert random_tree(1, seed) == Graph(1, ())
     with pytest.raises(InputError):
         random_tree(0, 0)
+    # n <= 2 draws nothing from the stream
+    for n, expected in ((1, Graph(1, ())), (2, Graph(2, ((0, 1),)))):
+        rng = SplitMix64(5)
+        assert tree_from_rng(n, rng) == expected
+        assert rng.state == SplitMix64(5).state
 
 
 @given(st.integers(3, 16), st.integers(0, 10**9))

@@ -193,6 +193,9 @@ def test_parse_edge_list_assigns_ids_in_first_appearance_order():
     g = parse_edge_list("a b\nb c # trailing comment\n\n# full comment\nc a\n")
     assert g.labels == ("a", "b", "c")
     assert g.edges == ((0, 1), (0, 2), (1, 2))
+    g = parse_edge_list("b a\nc b\n")
+    assert g.labels == ("b", "a", "c")
+    assert g.edges == ((0, 1), (0, 2))
 
 
 def test_parse_edge_list_errors_carry_line_numbers():

@@ -100,6 +100,11 @@ def test_verify_graph_all_on_single_vertex():
     assert all(r.passed for r in reports)
     names = [c.name for r in reports for c in r.checks]
     assert "broom_edge_drop" not in names  # K1 has no broom vertex
+    # a tree has a vertex of degree >= 2 exactly when it has 3 or more vertices
+    k2 = [c.name for r in verify_graph(Graph(2, ((0, 1),)), "all") for c in r.checks]
+    assert "broom_edge_drop" not in k2
+    p3 = [c.name for r in verify_graph(Graph(3, ((0, 1), (1, 2))), "all") for c in r.checks]
+    assert "broom_edge_drop" in p3
 
 
 def test_verify_graph_all_on_unicyclic(c5_pendant):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathideals.errors import InputError
-from pathideals.generators import random_graph, random_tree
+from pathideals.generators import random_graph, random_tree, random_unicyclic
 from pathideals.graphs import Graph
 from pathideals.matching import check_nu3_broom_drop, nu3
 
@@ -79,11 +79,30 @@ def test_nu3_disjoint_p3s(s):
     assert cert.size == s
 
 
-def test_nu3_certificate_is_deterministic(caterpillar):
+# nu3 certificates of random_tree / random_unicyclic / random_graph(n, 0.3),
+# cycled by seed with n = 6 + seed % 7, pinned so the search order stays put
+SEEDED_CERTIFICATES = (
+    ((0, 1, 2),), ((0, 1, 4),), ((1, 3, 5),), ((0, 5, 6), (2, 3, 4)),
+    ((0, 8, 7), (1, 5, 4)), ((0, 5, 9), (1, 10, 6)), ((0, 5, 2), (3, 6, 4)),
+    ((0, 3, 1),), ((0, 5, 2),), ((1, 0, 5), (2, 4, 3)), ((0, 1, 4),),
+    ((0, 2, 6), (3, 1, 8)), ((0, 5, 8), (1, 2, 7)), ((0, 7, 1), (6, 3, 10)),
+    ((0, 2, 4),), ((0, 1, 6),), ((0, 7, 4),), ((0, 4, 1),),
+    ((2, 8, 4), (3, 0, 5)), ((0, 10, 7), (3, 6, 8)), ((0, 1, 7), (4, 8, 10)),
+)
+
+
+def test_nu3_certificate_is_deterministic(caterpillar, c5_pendant, c6_pendant, c7_tail):
     value, cert = nu3(caterpillar)
     assert value == 2
     assert cert.paths == ((0, 1, 6), (3, 4, 5))
     assert cert.to_json_obj() == {"nu3": 2, "paths": [[0, 1, 6], [3, 4, 5]]}
+    assert nu3(c5_pendant)[1].paths == ((0, 1, 2),)
+    assert nu3(c6_pendant)[1].paths == ((0, 1, 2),)
+    assert nu3(c7_tail)[1].paths == ((0, 1, 2), (8, 9, 10))
+    families = (random_tree, random_unicyclic, lambda n, s: random_graph(n, 0.3, s))
+    for seed, paths in enumerate(SEEDED_CERTIFICATES):
+        value, cert = nu3(families[seed % 3](6 + seed % 7, seed))
+        assert (value, cert.paths) == (len(paths), paths)
 
 
 @given(graphs)
