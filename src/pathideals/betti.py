@@ -23,6 +23,11 @@ the memo), the link of v in Delta_W is ranked instead, its homology shifted
 up by one degree (Mayer-Vietoris over the star of v, a cone). The link has
 about a third of Delta_W's faces on dense graphs.
 
+The memo of nonzero series is the sum's own record of its terms. Handed to
+``restricted_table``, it gives the table of the ideal generated by the
+generators inside any vertex set S, as the sub-sum over W inside S, with no
+homology computed: the Betti table of an induced subgraph's path ideal.
+
 Ranks are exact and come from one reduction by leading column, in two
 kernels: rows packed as int bitsets over GF(2), and sparse {column: entry}
 rows over GF(p) (Python ints mod p) or Q (ints, with Fractions only after a
@@ -389,8 +394,27 @@ def _plan(
     ]
 
 
+def _used_vertices(ideal: MonomialIdeal) -> list[int]:
+    """The variables in some generator, in sorted order: bit k of a mask is the k-th."""
+    return sorted(set().union(*ideal.gens))
+
+
+def _table_of(series_by_mask: Iterable[tuple[int, Mapping[int, int]]]) -> BettiTable:
+    """Hochster's sum: the t^k term of Delta_W's series adds to beta_{|W|-k, |W|} of R/I."""
+    table: dict[tuple[int, int], int] = {(0, 0): 1}
+    for w, series in series_by_mask:
+        size = w.bit_count()
+        for k, h in series.items():
+            table[(size - k, size)] = table.get((size - k, size), 0) + h
+    return BettiTable.from_dict(table)
+
+
 def betti_hochster(
-    ideal: MonomialIdeal, field: FieldSpec = GF2, cap: int = DEFAULT_CAP
+    ideal: MonomialIdeal,
+    field: FieldSpec = GF2,
+    cap: int = DEFAULT_CAP,
+    *,
+    memo: dict[int, dict[int, int]] | None = None,
 ) -> BettiTable:
     """Betti table of R/I by summing homology of induced subcomplexes.
 
@@ -423,15 +447,21 @@ def betti_hochster(
 
     ``cap`` bounds the vertices the generators use, which size the 2^n
     arrays; variables in no generator cost nothing.
+
+    ``memo``, an empty dict if given, is filled in place with the evaluation
+    memo: each W whose Delta_W has homology, as a mask over the used vertices
+    in sorted order, maps to its series. ``restricted_table`` sums it over the
+    subsets of a vertex set.
     """
     if ideal.is_unit:
         raise InputError("Betti table of the unit ideal is not defined")
-    table: dict[tuple[int, int], int] = {(0, 0): 1}
+    if memo is None:
+        memo = {}
     if ideal.is_zero:
-        return BettiTable.from_dict(table)
+        return _table_of(())
     char = field.characteristic
 
-    used = sorted(set().union(*ideal.gens))
+    used = _used_vertices(ideal)
     if len(used) > cap:
         # the ambient n is at least len(used), and is what the user knows
         raise CapacityError(
@@ -462,7 +492,6 @@ def betti_hochster(
     row_of = dict(zip(face_list, _boundary_rows(face_list, char)))
     bits = [1 << p for p in range(len(used))]
 
-    memo: dict[int, dict[int, int]] = {}
     for w, parts in plan:
         if parts is None:
             own = faces[(faces & ~w) == 0].tolist()
@@ -481,10 +510,23 @@ def betti_hochster(
                 series = _join_series(series, memo.get(part, {}))
         if series:
             memo[w] = series
-            size = w.bit_count()
-            for k, h in series.items():
-                table[(size - k, size)] = table.get((size - k, size), 0) + h
-    return BettiTable.from_dict(table)
+    return _table_of(memo.items())
+
+
+def restricted_table(
+    ideal: MonomialIdeal, memo: Mapping[int, Mapping[int, int]], keep: Iterable[int]
+) -> BettiTable:
+    """Betti table of R/J, J generated by the generators of ``ideal`` inside ``keep``.
+
+    ``memo`` is the one ``betti_hochster`` filled for ``ideal``. For W inside
+    ``keep`` the generators inside W are the same for J as for I, so Delta_W
+    is too, and Hochster's sum for J is the sub-sum of I's terms over those W
+    (for a path ideal, J is the path ideal of the induced subgraph on
+    ``keep``). The field is the memo's.
+    """
+    keep = set(keep)
+    mask = sum(1 << k for k, v in enumerate(_used_vertices(ideal)) if v in keep)
+    return _table_of((w, series) for w, series in memo.items() if not w & ~mask)
 
 
 # -- regularity and the short-exact-sequence bound ---------------------------------

@@ -233,8 +233,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "cap", None) is None and hasattr(args, "cap"):
-            args.cap = _default_cap()
+        if hasattr(args, "cap"):
+            if args.cap is None:
+                args.cap = _default_cap()
+            if args.cap < 0:
+                raise InputError(f"cap must be nonnegative, got {args.cap}")
         return args.func(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)

@@ -279,6 +279,21 @@ def test_capacity_exit_code_and_overrides(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["reg"] == 2
 
 
+def test_a_negative_cap_is_an_input_error(tmp_path, capsys, monkeypatch):
+    code, out, err = run(capsys, "reg", CATERPILLAR, "--cap", "-3")
+    assert (code, out, err) == (2, "", "input error: cap must be nonnegative, got -3\n")
+    monkeypatch.setenv("PATHIDEALS_CAP", "-1")
+    code, out, err = run(capsys, "reg", CATERPILLAR)
+    assert (code, out, err) == (2, "", "input error: cap must be nonnegative, got -1\n")
+    # a batch fails before any instance runs or any output is written
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "search", "--family", "tree", "--n", "5..5", "--count", "2", "--out", str(out_dir))
+    assert (code, out, err) == (2, "", "input error: cap must be nonnegative, got -1\n")
+    assert not out_dir.exists()
+    code, out, err = run(capsys, "verify", "--family", "tree", "--n", "5..5", "--count", "2", "--cap", "0")
+    assert code == 1 and "CapacityError" in err
+
+
 def test_unknown_arguments_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["reg", "--bogus"])

@@ -1,9 +1,12 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from pathideals.betti import GF2, GF3, QQ, BettiTable, betti_hochster
 from pathideals.cli import main
 from pathideals.errors import InputError
+from pathideals.generators import SplitMix64, graph_from_rng, tree_from_rng, unicyclic_from_rng
 from pathideals.graphs import Graph, classify, graph_from_json_obj
 from pathideals.harness import (
     CHECKS,
@@ -18,6 +21,9 @@ from pathideals.harness import (
     run_batch,
     verify_graph,
 )
+from pathideals.ideals import path_ideal, path_ideal_within
+
+from oracles import betti_koszul_oracle
 
 P5 = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
 
@@ -67,6 +73,75 @@ def test_betti_monotonicity_cycle_inside_tail_fixture(c7_tail):
     cycle = (0, 1, 2, 3, 4, 5, 6)
     report = betti_monotonicity(GraphContext(c7_tail), cycle)
     assert report.passed
+
+
+def padded(graph: Graph, isolated: int, edges: int, order: list[int]) -> Graph:
+    """``graph`` plus isolated vertices and isolated edges, relabeled by ``order``.
+
+    The added vertices lie in no 3-path, so the vertices I3 uses are not
+    0..k-1 in general: a mask over them is not a mask over the labels.
+    """
+    n = graph.n + isolated + 2 * edges
+    extra = tuple((graph.n + isolated + 2 * k, graph.n + isolated + 2 * k + 1) for k in range(edges))
+    label = dict(zip(range(n), order))
+    return Graph(n, tuple((label[u], label[v]) for u, v in graph.edges + extra))
+
+
+@st.composite
+def padded_graphs(draw):
+    kind = draw(st.sampled_from(["tree", "unicyclic", "random"]))
+    n = draw(st.integers(4 if kind == "unicyclic" else 1, 8))
+    rng = SplitMix64(draw(st.integers(0, 10**9)))
+    if kind == "tree":
+        base = tree_from_rng(n, rng)
+    elif kind == "unicyclic":
+        base = unicyclic_from_rng(n, rng)
+    else:
+        base = graph_from_rng(n, draw(st.sampled_from([0.2, 0.4])), rng)
+    isolated, edges = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    order = draw(st.permutations(range(n + isolated + 2 * edges)))
+    return padded(base, isolated, edges, order)
+
+
+def assert_subgraph_tables_are_fresh_tables(graph, field, subsets, reference=betti_hochster):
+    ctx = GraphContext(graph, field)
+    for keep in subsets:
+        assert ctx.subgraph_table(keep) == reference(path_ideal_within(graph, keep, 3), field), keep
+
+
+@given(padded_graphs(), st.sampled_from([GF2, GF3, QQ]), st.data())
+@settings(max_examples=50)
+# vertex 0 is isolated and vertex 1 ends an isolated edge, so every used
+# vertex's position is below its label
+@example(padded(P5, 1, 1, [2, 3, 4, 5, 6, 0, 1, 7]), GF2, None)
+def test_subgraph_tables_are_the_fresh_tables_of_induced_subgraphs(graph, field, data):
+    every = set(range(graph.n))
+    subsets = [every, set(), *(every - {v} for v in every)]
+    if data is not None:
+        subsets += [data.draw(st.sets(st.sampled_from(sorted(every)))) for _ in range(3)]
+    assert_subgraph_tables_are_fresh_tables(graph, field, subsets)
+
+
+def test_subgraph_tables_without_a_3_path_are_trivial():
+    graph = padded(P5, 2, 1, [3, 4, 5, 6, 7, 0, 1, 8, 2])
+    ctx = GraphContext(graph)
+    trivial = BettiTable(((0, 0, 1),))
+    # the empty set, an isolated edge with an isolated vertex, and the path
+    # 3-4-5-6-7 with 4 and 7 deleted
+    for keep in (set(), {0, 8, 2}, {0, 3, 5, 6}):
+        assert ctx.subgraph_table(keep) == trivial
+    edgeless = GraphContext(Graph(3, ()))
+    assert edgeless.subgraph_table({0, 1}) == trivial and not edgeless.memo
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=lambda f: f.token)
+def test_subgraph_tables_match_the_koszul_oracle(field, caterpillar, c5_pendant):
+    # n = 8 each: an isolated vertex 0, or an isolated edge {0, 6}
+    graphs = (padded(caterpillar, 1, 0, [*range(1, 8), 0]), padded(c5_pendant, 0, 1, [*range(1, 6), 7, 0, 6]))
+    for graph in graphs:
+        every = set(range(graph.n))
+        subsets = [every - {v} for v in every] + [{1, 2, 3, 4}]
+        assert_subgraph_tables_are_fresh_tables(graph, field, subsets, betti_koszul_oracle)
 
 
 def test_colon_identities_every_edge(caterpillar):
@@ -240,11 +315,15 @@ def test_verify_graph_all_computes_each_betti_table_once(monkeypatch, c7_tail):
 
     monkeypatch.setattr(harness, "betti_hochster", counting)
     verify_graph(c7_tail, "all")
-    # I3(G), 11 edge colons, 11 edge sums and 11 vertex deletions
-    assert len(calls) == 34
+    # I3(G), 11 edge colons and 11 edge sums; the 11 vertex deletions are
+    # sub-sums of I3(G)'s sum
+    assert len(calls) == 23
     assert len(set(calls)) == len(calls)
     verify_graph(c7_tail, "all")  # nothing is kept between calls
-    assert len(calls) == 68
+    assert len(calls) == 46
+    calls.clear()
+    verify_graph(c7_tail, "monotone")
+    assert calls == [(path_ideal(c7_tail, 3), GF2)]
 
 
 def test_verify_graph_all_computes_nu3_of_the_graph_once(monkeypatch, caterpillar):
