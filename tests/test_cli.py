@@ -277,6 +277,15 @@ def test_capacity_exit_code_and_overrides(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "reg", "--format", "json", str(p3_isolated))
     assert code == 0
     assert json.loads(out)["reg"] == 2
+    # I3 uses 3 vertices, but I3 + de at the isolated edge d e uses 5
+    isolated_edge = tmp_path / "isolated_edge.txt"
+    isolated_edge.write_text("a b\nb c\nd e\n")
+    message = (
+        "capacity error: ambient n=5 exceeds the enumeration cap 3; "
+        "raise it with --cap or the PATHIDEALS_CAP environment variable\n"
+    )
+    for which in ("ses", "all"):
+        assert run(capsys, "verify", str(isolated_edge), "--which", which, "--cap", "3") == (3, "", message)
 
 
 def test_a_negative_cap_is_an_input_error(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,10 +9,12 @@ from pathideals.cli import main
 from pathideals.errors import InputError
 from pathideals.generators import SplitMix64, graph_from_rng, tree_from_rng, unicyclic_from_rng
 from pathideals.graphs import Graph, classify, graph_from_json_obj
+from pathideals import harness
 from pathideals.harness import (
     CHECKS,
     WHICH_CHOICES,
     BatchSpec,
+    CheckResult,
     GraphContext,
     betti_monotonicity,
     colon_identities,
@@ -21,7 +24,7 @@ from pathideals.harness import (
     run_batch,
     verify_graph,
 )
-from pathideals.ideals import path_ideal, path_ideal_within
+from pathideals.ideals import MonomialIdeal, add_monomial, add_vars, colon, path_ideal, path_ideal_within
 
 from oracles import betti_koszul_oracle
 
@@ -134,6 +137,14 @@ def test_subgraph_tables_without_a_3_path_are_trivial():
     assert edgeless.subgraph_table({0, 1}) == trivial and not edgeless.memo
 
 
+def fresh_calls(ctx, ideals):
+    """``ctx.table`` of each ideal, and the ideals it ran a Hochster sum of its own for."""
+    ctx.table(ctx.ideal)
+    with mock.patch.object(harness, "betti_hochster", wraps=betti_hochster) as spy:
+        tables = [ctx.table(j) for j in ideals]
+    return tables, [call.args[0] for call in spy.call_args_list]
+
+
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=lambda f: f.token)
 def test_subgraph_tables_match_the_koszul_oracle(field, caterpillar, c5_pendant):
     # n = 8 each: an isolated vertex 0, or an isolated edge {0, 6}
@@ -142,6 +153,50 @@ def test_subgraph_tables_match_the_koszul_oracle(field, caterpillar, c5_pendant)
         every = set(range(graph.n))
         subsets = [every - {v} for v in every] + [{1, 2, 3, 4}]
         assert_subgraph_tables_are_fresh_tables(graph, field, subsets, betti_koszul_oracle)
+        # and the colon tables, sub-sums times a Koszul factor
+        ctx = GraphContext(graph, field)
+        cases = [colon(ctx.ideal, e) for e in graph.edges]
+        cases.append(add_vars(path_ideal_within(graph, {1, 2, 3, 4}, 3), {0, 5, 7}))
+        tables, fresh = fresh_calls(ctx, cases)
+        assert fresh == []
+        for j, table in zip(cases, tables):
+            assert table == betti_koszul_oracle(j, field), j
+
+
+@given(padded_graphs(), st.sampled_from([GF2, GF3, QQ]), st.data())
+@settings(max_examples=50)
+@example(padded(P5, 1, 1, [2, 3, 4, 5, 6, 0, 1, 7]), GF2, None)
+def test_colon_tables_are_the_fresh_tables(graph, field, data):
+    ctx = GraphContext(graph, field)
+    ideal = ctx.ideal
+    # the form the context answers from I3(G)'s sum: every edge colon, and
+    # I3(G[S]) plus variables outside S
+    cases = [colon(ideal, e) for e in graph.edges]
+    if data is not None:
+        every = list(range(graph.n))
+        for _ in range(3):
+            keep = data.draw(st.sets(st.sampled_from(every)))
+            rest = sorted(set(every) - keep)
+            extra = data.draw(st.sets(st.sampled_from(rest))) if rest else set()
+            cases.append(add_vars(path_ideal_within(graph, keep, 3), extra))
+    tables, fresh = fresh_calls(ctx, cases)
+    assert fresh == []
+    for j, table in zip(cases, tables):
+        assert table == betti_hochster(j, field), j
+    # I + uv, and the one-vertex colons of it and of I, are not of that form
+    # when they keep a quadric generator, and get their own sums
+    quadrics = [
+        j
+        for u, v in graph.edges[:3]
+        for j in (add_monomial(ideal, (u, v)), colon(add_monomial(ideal, (u, v)), {u}), colon(ideal, {u}))
+        if any(len(g) == 2 for g in j.gens)
+    ]
+    assert fresh_calls(ctx, quadrics)[1] == list(dict.fromkeys(quadrics))
+    # I with a generator dropped is of that form only when the generator
+    # leaves the union; either way its table is its own
+    dropped = [MonomialIdeal(graph.n, ideal.gens - {g}) for g in sorted(ideal.gens, key=sorted)[:3]]
+    for j, table in zip(dropped, fresh_calls(ctx, dropped)[0]):
+        assert table == betti_hochster(j, field), j
 
 
 def test_colon_identities_every_edge(caterpillar):
@@ -158,6 +213,29 @@ def test_ses_edges_report(caterpillar):
     (report,) = verify_graph(caterpillar, "ses")
     assert report.passed
     assert "6 edge(s) checked" in report.checks[0].details
+
+
+def test_a_failing_ses_bound_names_its_first_failure(monkeypatch, c7_tail):
+    real = GraphContext.reg
+    asked = []
+
+    def lowered(self, ideal):
+        # I3(G) + uv, and no other ideal the check asks for, has a quadric
+        # generator; lowering its regularity by one breaks the bound exactly
+        # where the colon side leaves it open
+        asked.append(ideal)
+        return real(self, ideal) - any(len(g) == 2 for g in ideal.gens)
+
+    monkeypatch.setattr(GraphContext, "reg", lowered)
+    (report,) = verify_graph(c7_tail, "ses")
+    assert report.checks == [CheckResult(
+        "ses_bound", False,
+        "11 edge(s) checked; first failure at (0, 7): "
+        "SesBoundReport(reg_quotient=6, reg_colon_shifted=4, reg_sum=5)",
+    )]
+    ideal = path_ideal(c7_tail, 3)
+    sums = [j for j in asked if any(len(g) == 2 for g in j.gens)]
+    assert sums == [add_monomial(ideal, (0, 7)), add_monomial(ideal, (7, 8))]
 
 
 def test_verify_graph_all_on_tree(caterpillar):
@@ -315,15 +393,23 @@ def test_verify_graph_all_computes_each_betti_table_once(monkeypatch, c7_tail):
 
     monkeypatch.setattr(harness, "betti_hochster", counting)
     verify_graph(c7_tail, "all")
-    # I3(G), 11 edge colons and 11 edge sums; the 11 vertex deletions are
-    # sub-sums of I3(G)'s sum
-    assert len(calls) == 23
-    assert len(set(calls)) == len(calls)
+    # I3(G), and I3(G) + uv at the two edges x1x8 and x8x9, where
+    # reg(I : uv) + 2 = 4 < reg(I) = 6; at the other nine the colon side
+    # settles the bound. The 11 edge colons and the 11 vertex deletions are
+    # sub-sums of I3(G)'s sum.
+    ideal = path_ideal(c7_tail, 3)
+    sums = [add_monomial(ideal, e) for e in ((0, 7), (7, 8))]
+    assert calls == [(ideal, GF2)] + [(j, GF2) for j in sums]
     verify_graph(c7_tail, "all")  # nothing is kept between calls
-    assert len(calls) == 46
+    assert len(calls) == 6
     calls.clear()
     verify_graph(c7_tail, "monotone")
-    assert calls == [(path_ideal(c7_tail, 3), GF2)]
+    assert calls == [(ideal, GF2)]
+    calls.clear()
+    verify_graph(c7_tail, "ses")
+    colons = {colon(ideal, e) for e in c7_tail.edges}
+    assert not any(j in colons for j, _ in calls)
+    assert len(calls) == 3
 
 
 def test_verify_graph_all_computes_nu3_of_the_graph_once(monkeypatch, caterpillar):
