@@ -40,7 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import and_
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -330,21 +332,21 @@ def _plan(
 
     Both hold over every field and read only which generators lie inside W.
     Each test runs on all survivors at once, on int bitsets over the
-    survivors: one per vertex (W contains it), per generator (it lies inside
-    W) and per vertex again (it lies in C).
+    survivors. Only the vertex bitsets (W holds p) come from numpy, each
+    packed from its own slice ``survivors & 1 << p``. A generator lies inside
+    W exactly when W holds each of its vertices, so its bitset is the AND of
+    theirs. The results are again one bitset per vertex: v is dominated in
+    W, and p lies in C.
     """
     count = len(survivors)
     nbytes = (count + 7) // 8
-    tests = np.array([1 << p for p in range(nverts)] + gmasks, dtype=np.int64)[:, None]
-    step = max(1, (1 << 20) // count)  # tests per block, so temporaries stay near 8 MB
-    data = b"".join(
-        np.packbits((survivors & block) == block, axis=1, bitorder="little").tobytes()
-        for block in (tests[k : k + step] for k in range(0, len(tests), step))
-    )
-    bitsets = [int.from_bytes(data[k : k + nbytes], "little") for k in range(0, len(data), nbytes)]
-    has, inside = bitsets[:nverts], bitsets[nverts:]
-    vertex_bits = tests[:nverts, 0]
+    has = [
+        int.from_bytes(np.packbits(survivors & 1 << p, bitorder="little"), "little")
+        for p in range(nverts)
+    ]
     verts = [[p for p in range(nverts) if g >> p & 1] for g in gmasks]
+    inside = [reduce(and_, [has[p] for p in vs]) for vs in verts]
+    vertex_bits = np.array([1 << p for p in range(nverts)], dtype=np.int64)
 
     # conflict[v][u]: the W in which u does not dominate v, i.e. some
     # generator g inside W has u in g and (g - u) + v a face of Delta
@@ -449,7 +451,8 @@ def betti_hochster(
     Delta_W, since a generator {v} inside W would make v dominated.
 
     ``cap`` bounds the vertices the generators use, which size the 2^n
-    arrays; variables in no generator cost nothing.
+    arrays; variables in no generator cost nothing. A cap so high that those
+    arrays cannot be allocated is a ``CapacityError`` too.
 
     ``memo``, an empty dict if given, is filled in place with the evaluation
     memo: each W whose Delta_W has homology, as a mask over the used vertices
@@ -474,7 +477,13 @@ def betti_hochster(
     pos = {v: k for k, v in enumerate(used)}
     gmasks = [sum(1 << pos[v] for v in g) for g in ideal.gens]
     # covered[W]: the union of the generators inside W
-    covered = np.zeros(1 << len(used), dtype=np.int64)
+    try:
+        covered = np.zeros(1 << len(used), dtype=np.int64)
+    except (MemoryError, ValueError) as exc:
+        raise CapacityError(
+            f"the generators use {len(used)} vertices, and the 2^{len(used)} subset arrays "
+            f"that --cap {cap} admits cannot be allocated"
+        ) from exc
     covered[gmasks] = gmasks
     for b in range(len(used)):
         halves = covered.reshape(-1, 2, 1 << b)

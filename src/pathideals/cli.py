@@ -13,7 +13,7 @@ import sys
 from collections import Counter
 
 from .betti import CAP_ENV_VAR, DEFAULT_CAP, FieldSpec, betti_hochster
-from .errors import CapacityError, InputError, PathIdealsError
+from .errors import CapacityError, InputError
 from .graphs import Graph, graph_from_json_obj, load_graph, to_edge_list
 from .harness import (
     FAMILIES, WHICH_CHOICES, BatchSpec, reports_to_csv, reports_to_jsonl, run_batch, verify_graph,
@@ -242,14 +242,8 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except PathIdealsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

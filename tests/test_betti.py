@@ -332,6 +332,23 @@ def ambient_ideals(draw):
     return MonomialIdeal(n, frozenset(draw(st.sets(gen, min_size=1, max_size=6))))
 
 
+def captured_plan(i):
+    """What ``betti_hochster(i)`` hands ``_plan`` and gets back, as lists."""
+    seen = []
+    original = betti._plan
+
+    def captured(survivors, gmasks, is_face, nverts):
+        plan = original(survivors, gmasks, is_face, nverts)
+        seen.append((survivors.tolist(), gmasks, is_face.tolist(), nverts, plan))
+        return plan
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(betti, "_plan", captured)
+        assert betti_hochster(i) == betti_hochster_unpruned(i)
+    [capture] = seen
+    return capture
+
+
 @given(ambient_ideals())
 @settings(max_examples=60)
 @example(ideal(5, (0,), (1, 2)))
@@ -340,17 +357,7 @@ def ambient_ideals(draw):
 # the top ambient vertex inside a cubic, with degrees 2 and 3 mixed
 @example(ideal(9, (2, 4, 7), (4, 7, 8), (0, 2)))
 def test_plan_gets_the_survivors_and_faces_of_every_mask(i):
-    seen = []
-    original = betti._plan
-
-    def captured(survivors, gmasks, is_face, nverts):
-        seen.append((survivors.tolist(), gmasks, is_face.tolist(), nverts))
-        return original(survivors, gmasks, is_face, nverts)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(betti, "_plan", captured)
-        assert betti_hochster(i) == betti_hochster_unpruned(i)
-    [(survivors, gmasks, is_face, nverts)] = seen
+    survivors, gmasks, is_face, nverts, _ = captured_plan(i)
     used = sorted(set().union(*i.gens))
     assert nverts == len(used)
     assert sorted(gmasks) == sorted(sum(1 << used.index(v) for v in g) for g in i.gens)
@@ -360,6 +367,35 @@ def test_plan_gets_the_survivors_and_faces_of_every_mask(i):
     assert survivors == [w for w in range(1, 1 << nverts) if union[w] == w]
     # is_face[W] for every mask W, the empty face included
     assert is_face == [not gs for gs in inside]
+
+
+@given(ambient_ideals())
+@settings(max_examples=60)
+# 1 and 2 each dominate the other in {0, 1, 2}, so the lowest, 1, is collapsed
+@example(ideal(4, (0, 1), (0, 2), (2, 3)))
+# two disjoint generators and a third one bridging them
+@example(ideal(7, (0, 1, 2), (3, 4, 5), (2, 3, 6)))
+def test_plan_collapses_the_lowest_dominated_vertex_then_peels_a_component(i):
+    survivors, gmasks, _, nverts, plan = captured_plan(i)
+    assert [w for w, _ in plan] == survivors
+    faces = {f for f in range(1 << nverts) if not any(g & ~f == 0 for g in gmasks)}
+    for w, parts in plan:
+        verts = [p for p in range(nverts) if w >> p & 1]
+        own = [f for f in faces if f & ~w == 0]
+
+        def dominates(u, v):
+            """Every face of Delta_W with v stays a face with u added."""
+            return all(f | 1 << u in faces for f in own if f >> v & 1)
+
+        dominated = [v for v in verts if any(dominates(u, v) for u in verts if u != v)]
+        if dominated:
+            assert parts == (w ^ 1 << dominated[0],)
+            continue
+        # the component of W's lowest vertex, grouping the generators inside W
+        comp, inside = w & -w, [g for g in gmasks if g & ~w == 0]
+        while any(g & comp and g & ~comp for g in inside):
+            comp |= next(g for g in inside if g & comp and g & ~comp)
+        assert parts == (None if comp == w else (comp, w ^ comp))
 
 
 def count_ranked(monkeypatch) -> list[int]:
@@ -511,6 +547,20 @@ def test_capacity_errors():
     table = betti_hochster(MonomialIdeal(23, frozenset({frozenset({0, 1, 2})})))
     assert table.entries == ((0, 0, 1), (1, 3, 1))
     assert betti_hochster(ideal(DEFAULT_CAP + 1)).entries == ((0, 0, 1),)
+
+
+def test_an_unallocatable_cap_is_a_capacity_error(monkeypatch):
+    # 2^64 masks exceed numpy's largest dimension, so nothing is allocated
+    path64 = ideal(64, *[(k, k + 1, k + 2) for k in range(62)])
+    with pytest.raises(CapacityError, match=r"the generators use 64 vertices, and the 2\^64 .*--cap 64"):
+        betti_hochster(path64, cap=64)
+
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(betti.np, "zeros", refuse)
+    with pytest.raises(CapacityError, match=r"the generators use 3 vertices, and the 2\^3 .*--cap 22"):
+        betti_hochster(ideal(5, (0, 1, 2)))
 
 
 def test_ses_bound_p4():

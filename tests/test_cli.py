@@ -288,6 +288,30 @@ def test_capacity_exit_code_and_overrides(tmp_path, capsys, monkeypatch):
         assert run(capsys, "verify", str(isolated_edge), "--which", which, "--cap", "3") == (3, "", message)
 
 
+def test_an_unallocatable_cap_exits_three(tmp_path, capsys, monkeypatch):
+    # 2^64 masks exceed numpy's largest dimension, so nothing is allocated
+    path64 = tmp_path / "path64.txt"
+    path64.write_text("".join(f"{k} {k + 1}\n" for k in range(63)))
+    message = (
+        "the generators use 64 vertices, and the 2^64 subset arrays that --cap 64 admits "
+        "cannot be allocated"
+    )
+    assert run(capsys, "reg", str(path64), "--cap", "64") == (3, "", f"capacity error: {message}\n")
+    # in a batch each instance records the error and the batch exits 1
+    code, out, err = run(capsys, "verify", "--family", "tree", "--n", "64", "--count", "2", "--cap", "64")
+    assert code == 1
+    assert [json.loads(line)["error"] for line in out.splitlines()] == [f"CapacityError: {message}"] * 2
+    assert err == "".join(f"error: tree n=64 seed={k}: CapacityError: {message}\n" for k in (0, 1))
+
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("numpy.zeros", refuse)
+    code, out, err = run(capsys, "reg", CATERPILLAR)
+    assert (code, out) == (3, "")
+    assert err.startswith("capacity error: the generators use 7 vertices, and the 2^7 subset arrays")
+
+
 def test_a_negative_cap_is_an_input_error(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "reg", CATERPILLAR, "--cap", "-3")
     assert (code, out, err) == (2, "", "input error: cap must be nonnegative, got -3\n")
