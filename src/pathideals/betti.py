@@ -27,8 +27,6 @@ The memo of nonzero series is the sum's own record of its terms. Handed to
 ``restricted_table``, it gives the table of the ideal generated by the
 generators inside any vertex set S, as the sub-sum over W inside S, with no
 homology computed: the Betti table of an induced subgraph's path ideal.
-Adding variables that no generator uses tensors a table with a Koszul
-complex (``_with_variables``), which gives an edge colon's table too.
 
 Ranks are exact and come from one reduction by leading column, in two
 kernels: rows packed as int bitsets over GF(2), and sparse {column: entry}
@@ -41,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import comb
 from operator import and_
 from typing import Callable, Iterable, Mapping
 
@@ -539,19 +536,6 @@ def restricted_table(
     keep = set(keep)
     mask = sum(1 << k for k, v in enumerate(_used_vertices(ideal)) if v in keep)
     return _table_of((w, series) for w, series in memo.items() if not w & ~mask)
-
-
-def _with_variables(table: BettiTable, count: int) -> BettiTable:
-    """Betti table of R/(J + <x_1, ..., x_count>) from R/J's, the x's in no generator of J.
-
-    The minimal resolution is R/J's tensored with the Koszul complex on the
-    x's, so beta_{i,j} = sum_l C(count, l) beta_{i-l, j-l}(R/J).
-    """
-    out: dict[tuple[int, int], int] = {}
-    for i, j, b in table.entries:
-        for l in range(count + 1):
-            out[(i + l, j + l)] = out.get((i + l, j + l), 0) + comb(count, l) * b
-    return BettiTable.from_dict(out)
 
 
 # -- regularity and the short-exact-sequence bound ---------------------------------

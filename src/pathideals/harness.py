@@ -18,8 +18,7 @@ from multiprocessing import Pool
 from typing import Callable, Iterable
 
 from .betti import (
-    DEFAULT_CAP, GF2, NEG_INF, BettiTable, FieldSpec, SesBoundReport, _with_variables, betti_hochster,
-    restricted_table,
+    DEFAULT_CAP, GF2, NEG_INF, BettiTable, FieldSpec, SesBoundReport, betti_hochster, restricted_table,
 )
 from .errors import InputError, PathIdealsError
 from .generators import SplitMix64, graph_from_rng, tree_from_rng, unicyclic_from_rng
@@ -111,10 +110,10 @@ class GraphContext:
     """One graph's check inputs plus its Betti tables, one per distinct ideal.
 
     ``memo`` keeps the terms of I3(G)'s own Hochster sum (see
-    ``betti_hochster``), so the table of an induced subgraph, and of one
-    plus variables (an edge colon), is a sub-sum of it and costs no
-    homology. A context lives for one ``verify_graph`` call or one batch
-    instance, so no table or memo outlives the checks of its graph.
+    ``betti_hochster``), so the table of an induced subgraph, and the
+    regularity of one plus variables (an edge colon), is a sub-sum of it and
+    costs no homology. A context lives for one ``verify_graph`` call or one
+    batch instance, so no table or memo outlives the checks of its graph.
     """
 
     graph: Graph
@@ -131,27 +130,11 @@ class GraphContext:
         self.ideal = path_ideal(self.graph, 3)
 
     def table(self, ideal: MonomialIdeal) -> BettiTable:
-        """Betti table of R/J, computed once per ideal J.
-
-        When J's generators are some variables X plus exactly the generators
-        of I3(G) inside their own union S, J is I3(G[S]) + <X> with X outside
-        S, and its table is the sub-sum over S tensored with the Koszul
-        complex on X (every edge colon I3(G) : uv has this form). That is a
-        set equality tested on J itself; any other J gets its own sum.
-        """
-        if ideal in self.tables:
-            return self.tables[ideal]
-        if ideal == self.ideal:
-            table = betti_hochster(ideal, self.field_, cap=self.cap, memo=self.memo)
-        else:
-            rest = {g for g in ideal.gens if len(g) != 1}
-            span = frozenset().union(*rest)
-            if rest == {g for g in self.ideal.gens if g <= span}:
-                table = _with_variables(self.subgraph_table(span), len(ideal.gens) - len(rest))
-            else:
-                table = betti_hochster(ideal, self.field_, cap=self.cap)
-        self.tables[ideal] = table
-        return table
+        """Betti table of R/J, one Hochster sum per ideal J; I3(G)'s fills ``memo``."""
+        if ideal not in self.tables:
+            memo = self.memo if ideal == self.ideal else None
+            self.tables[ideal] = betti_hochster(ideal, self.field_, cap=self.cap, memo=memo)
+        return self.tables[ideal]
 
     def subgraph_table(self, keep: Iterable[int]) -> BettiTable:
         """Betti table of I3(G[keep]): the sub-sum of I3(G)'s terms over W inside ``keep``.
@@ -162,8 +145,22 @@ class GraphContext:
         return restricted_table(self.ideal, self.memo, keep)
 
     def reg(self, ideal: MonomialIdeal):
-        """reg(R/I); -inf for the unit ideal."""
-        return NEG_INF if ideal.is_unit else self.table(ideal).regularity()
+        """reg(R/J); -inf for the unit ideal.
+
+        When J's generators are some variables X plus exactly the generators
+        of I3(G) inside their own union S, J is I3(G[S]) + <X> with X outside
+        S (every edge colon I3(G) : uv has this form). Its resolution is
+        I3(G[S])'s tensored with the Koszul complex on X, which shifts i and j
+        together, so reg(R/J) is the regularity of the sub-sum over S. That is
+        a set equality tested on J itself; any other J gets its own table.
+        """
+        if ideal.is_unit:
+            return NEG_INF
+        rest = {g for g in ideal.gens if len(g) != 1}
+        span = frozenset().union(*rest)
+        if rest == {g for g in self.ideal.gens if g <= span}:
+            return self.subgraph_table(span).regularity()
+        return self.table(ideal).regularity()
 
     @cached_property
     def nu3(self) -> int:
@@ -227,15 +224,25 @@ def ses_edges(ctx: GraphContext, edges: Iterable[tuple[int, int]]) -> Verificati
     """Short-exact-sequence regularity bound for edge monomials.
 
     reg(R/I) <= max(reg(R/(I : uv)) + 2, reg(R/(I + uv))) holds at once when
-    the colon side reaches reg(R/I), so I + uv is ranked only when it does
-    not. The shortcut is taken only when u and v lie in a generator: then
-    I + uv uses no vertex I does not, and cannot meet a cap that I passed.
+    either side on the right reaches reg(R/I), so I + uv is ranked only when
+    neither side does from I's own sub-sums. The colon side is one: see
+    ``GraphContext.reg``. For the sum side, with w in {u, v}, I + uv has
+    exactly the generators of I3(G - w) inside V - w, so its Hochster terms
+    there are those of I3(G - w), and reg(R/(I + uv)) >= reg(R/I3(G - w))
+    over every field. Both shortcuts are taken only when u and v lie in a
+    generator: then I + uv uses no vertex I does not, and cannot meet a cap
+    that I passed.
     """
     todo = list(edges)
+    every = set(range(ctx.graph.n))
+    reg = ctx.reg(ctx.ideal)
     failures = []
     for u, v in todo:
         on_path = any(u in g and v in g for g in ctx.ideal.gens)
-        if on_path and ctx.reg(colon(ctx.ideal, {u, v})) + 2 >= ctx.reg(ctx.ideal):
+        if on_path and (
+            ctx.reg(colon(ctx.ideal, {u, v})) + 2 >= reg
+            or any(ctx.subgraph_table(every - {w}).regularity() >= reg for w in (u, v))
+        ):
             continue
         ses = SesBoundReport.of(ctx.ideal, {u, v}, ctx.reg)
         if not ses.holds:

@@ -11,6 +11,10 @@ These deliberately share no search logic with the package:
 The one exception is the unpruned Hochster sum, which reuses the package's
 homology routine so that it differs from ``betti_hochster`` only in ranking
 every subcomplex: it skips no cone and applies no join or collapse rule.
+
+The reduced Euler characteristics of every induced subcomplex and the
+K-polynomial, both counted from the generators alone, referee the Hochster
+memo and the Betti tables at sizes no homology oracle reaches.
 """
 
 from __future__ import annotations
@@ -19,7 +23,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from pathideals.betti import (
     GF2,
@@ -261,3 +268,53 @@ def betti_koszul_oracle(ideal: MonomialIdeal, field: FieldSpec = GF2) -> BettiTa
         for d, h in dims.items():
             table[(d + 2, j)] = table.get((d + 2, j), 0) + h
     return BettiTable.from_dict(table)
+
+
+# -- Euler characteristics ----------------------------------------------------------
+
+
+def _faces_and_sizes(ideal: MonomialIdeal) -> tuple[np.ndarray, np.ndarray]:
+    """For every mask over the used vertices in sorted order: is it a face, and its size.
+
+    A face is a set containing no generator: the generators' flags are
+    pushed up into every superset, a bit at a time. Memory is 2^n bytes each.
+    """
+    used = sorted(set().union(*ideal.gens))
+    pos = {v: k for k, v in enumerate(used)}
+    nonface = np.zeros(1 << len(used), dtype=bool)
+    nonface[[sum(1 << pos[v] for v in g) for g in ideal.gens]] = True
+    size = np.zeros(1 << len(used), dtype=np.int8)
+    for b in range(len(used)):
+        nonface.reshape(-1, 2, 1 << b)[:, 1] |= nonface.reshape(-1, 2, 1 << b)[:, 0]
+        size.reshape(-1, 2, 1 << b)[:, 1] += 1
+    return ~nonface, size
+
+
+def reduced_euler_characteristics(ideal: MonomialIdeal) -> np.ndarray:
+    """chi~(Delta_W) for every W, a mask over the used vertices in sorted order.
+
+    chi~(Delta_W) sums (-1)^(|F|-1) over the faces F inside W, the empty face
+    included: the signed face flags summed over subsets one bit at a time.
+    Memory is 2^n int64s.
+    """
+    face, size = _faces_and_sizes(ideal)
+    chi = np.where(face, np.where(size % 2, 1, -1), 0).astype(np.int64)
+    for b in range(size[-1]):  # the size of the whole vertex set
+        chi.reshape(-1, 2, 1 << b)[:, 1] += chi.reshape(-1, 2, 1 << b)[:, 0]
+    return chi
+
+
+def k_polynomial(ideal: MonomialIdeal) -> list[int]:
+    """Coefficients of sum_{i,j} (-1)^i beta_{i,j}(R/I) t^j, from the f-vector alone.
+
+    Over the n used vertices the numerator of the Hilbert series of R/I is
+    sum over the faces F of t^|F| (1 - t)^(n - |F|); variables in no
+    generator leave it unchanged.
+    """
+    face, size = _faces_and_sizes(ideal)
+    n = int(size[-1])  # the size of the whole vertex set
+    f_vector = np.bincount(size[face], minlength=n + 1).tolist()
+    return [
+        sum(f * comb(n - k, j - k) * (-1) ** (j - k) for k, f in enumerate(f_vector[: j + 1]))
+        for j in range(n + 1)
+    ]

@@ -1,5 +1,6 @@
 import copy
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -20,7 +21,7 @@ from pathideals.betti import (
     regularity,
 )
 from pathideals.errors import CapacityError, InputError
-from pathideals.generators import SplitMix64, graph_from_rng, random_graph, tree_from_rng
+from pathideals.generators import SplitMix64, graph_from_rng, random_graph, tree_from_rng, unicyclic_from_rng
 from pathideals.graphs import Graph
 from pathideals.ideals import MonomialIdeal, colon, path_ideal
 from pathideals.matching import nu3
@@ -29,6 +30,7 @@ from oracles import (
     betti_hochster_unpruned,
     betti_koszul_oracle,
     rank_fraction,
+    reduced_euler_characteristics,
     reduced_homology_dims,
 )
 
@@ -659,3 +661,56 @@ def test_field_spec_checks_the_prime_bound_before_trial_division():
     # minutes, so the bound must be checked first
     with pytest.raises(InputError, match=r"p <= 2\^31"):
         FieldSpec(2**61 - 1)
+
+
+# -- the memo against Euler characteristics ----------------------------------------
+
+
+def assert_memo_has_the_euler_characteristics(graph, field):
+    """sum_k (-1)^(k-1) series_W[k] = chi~(Delta_W) for every W, whatever the field.
+
+    Independent of the plan, the link rule and the join series, but blind to
+    the rank kernels, whose terms cancel out of the alternating sum.
+    """
+    ideal, memo = path_ideal(graph, 3), {}
+    betti_hochster(ideal, field, memo=memo)
+    chi = reduced_euler_characteristics(ideal)
+    from_memo = np.zeros_like(chi)
+    from_memo[0] = -1  # Delta_{} = {empty set} is outside the sum
+    for w, series in memo.items():
+        from_memo[w] = sum((-1) ** (k - 1) * h for k, h in series.items())
+    wrong = np.flatnonzero(from_memo != chi)
+    assert not wrong.size, f"{wrong.size} subsets differ, first {wrong[:5].tolist()}"
+
+
+@st.composite
+def mid_graphs(draw):
+    kind = draw(st.sampled_from(["tree", "unicyclic", "random"]))
+    n = draw(st.integers(12, 16))
+    rng = SplitMix64(draw(st.integers(0, 10**9)))
+    if kind == "tree":
+        return tree_from_rng(n, rng)
+    if kind == "unicyclic":
+        return unicyclic_from_rng(n, rng)
+    return graph_from_rng(n, draw(st.sampled_from([0.2, 0.3])), rng)
+
+
+@given(mid_graphs(), st.sampled_from([GF2, GF3, QQ]))
+@settings(max_examples=15)
+def test_memo_series_sum_to_euler_characteristics(graph, field):
+    assert_memo_has_the_euler_characteristics(graph, field)
+
+
+@pytest.mark.parametrize(
+    "graph, field",
+    [
+        (tree_from_rng(20, SplitMix64(1)), GF2),
+        (unicyclic_from_rng(20, SplitMix64(1)), GF2),
+        (tree_from_rng(19, SplitMix64(2)), GF3),
+        (graph_from_rng(18, 0.2, SplitMix64(1)), GF2),
+        (graph_from_rng(20, 0.1, SplitMix64(1)), QQ),
+    ],
+    ids=["tree20-gf2", "unicyclic20-gf2", "tree19-gf3", "g18-gf2", "g20-q"],
+)
+def test_memo_series_sum_to_euler_characteristics_at_n18_to_20(graph, field):
+    assert_memo_has_the_euler_characteristics(graph, field)

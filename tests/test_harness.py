@@ -4,11 +4,11 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pathideals.betti import GF2, GF3, QQ, BettiTable, betti_hochster
+from pathideals.betti import GF2, GF3, QQ, BettiTable, betti_hochster, restricted_table
 from pathideals.cli import main
 from pathideals.errors import InputError
 from pathideals.generators import SplitMix64, graph_from_rng, tree_from_rng, unicyclic_from_rng
-from pathideals.graphs import Graph, classify, graph_from_json_obj
+from pathideals.graphs import Graph, classify, graph_from_json_obj, load_graph
 from pathideals import harness
 from pathideals.harness import (
     CHECKS,
@@ -26,9 +26,14 @@ from pathideals.harness import (
 )
 from pathideals.ideals import MonomialIdeal, add_monomial, add_vars, colon, path_ideal, path_ideal_within
 
+from conftest import fixture_path
 from oracles import betti_koszul_oracle
 
 P5 = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
+# The edges of c6_pendant_7 at which the ses check ranks I3(G) + uv: there
+# reg(I : uv) + 2 = 2, and deleting u or v leaves reg 2, below reg(I) = 3.
+C6_PENDANT_SUM_EDGES = ((0, 1), (0, 5), (1, 2), (4, 5))
+FIXTURES = ("caterpillar_7", "c5_pendant_6", "c6_pendant_7", "c7_tail_11")
 
 
 def test_lower_bound_report(caterpillar):
@@ -138,11 +143,11 @@ def test_subgraph_tables_without_a_3_path_are_trivial():
 
 
 def fresh_calls(ctx, ideals):
-    """``ctx.table`` of each ideal, and the ideals it ran a Hochster sum of its own for."""
+    """``ctx.reg`` of each ideal, and the ideals it ran a Hochster sum of its own for."""
     ctx.table(ctx.ideal)
     with mock.patch.object(harness, "betti_hochster", wraps=betti_hochster) as spy:
-        tables = [ctx.table(j) for j in ideals]
-    return tables, [call.args[0] for call in spy.call_args_list]
+        regs = [ctx.reg(j) for j in ideals]
+    return regs, [call.args[0] for call in spy.call_args_list]
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=lambda f: f.token)
@@ -153,14 +158,15 @@ def test_subgraph_tables_match_the_koszul_oracle(field, caterpillar, c5_pendant)
         every = set(range(graph.n))
         subsets = [every - {v} for v in every] + [{1, 2, 3, 4}]
         assert_subgraph_tables_are_fresh_tables(graph, field, subsets, betti_koszul_oracle)
-        # and the colon tables, sub-sums times a Koszul factor
+        # and the colon regularities, those of sub-sums (a Koszul factor shifts i and j together)
         ctx = GraphContext(graph, field)
         cases = [colon(ctx.ideal, e) for e in graph.edges]
         cases.append(add_vars(path_ideal_within(graph, {1, 2, 3, 4}, 3), {0, 5, 7}))
-        tables, fresh = fresh_calls(ctx, cases)
+        regs, fresh = fresh_calls(ctx, cases)
         assert fresh == []
-        for j, table in zip(cases, tables):
-            assert table == betti_koszul_oracle(j, field), j
+        for j, reg in zip(cases, regs):
+            table = betti_koszul_oracle(j, field)
+            assert ctx.table(j) == table and reg == table.regularity(), j
 
 
 @given(padded_graphs(), st.sampled_from([GF2, GF3, QQ]), st.data())
@@ -179,10 +185,11 @@ def test_colon_tables_are_the_fresh_tables(graph, field, data):
             rest = sorted(set(every) - keep)
             extra = data.draw(st.sets(st.sampled_from(rest))) if rest else set()
             cases.append(add_vars(path_ideal_within(graph, keep, 3), extra))
-    tables, fresh = fresh_calls(ctx, cases)
+    regs, fresh = fresh_calls(ctx, cases)
     assert fresh == []
-    for j, table in zip(cases, tables):
-        assert table == betti_hochster(j, field), j
+    for j, reg in zip(cases, regs):
+        table = betti_hochster(j, field)
+        assert ctx.table(j) == table and reg == table.regularity(), j
     # I + uv, and the one-vertex colons of it and of I, are not of that form
     # when they keep a quadric generator, and get their own sums
     quadrics = [
@@ -193,10 +200,10 @@ def test_colon_tables_are_the_fresh_tables(graph, field, data):
     ]
     assert fresh_calls(ctx, quadrics)[1] == list(dict.fromkeys(quadrics))
     # I with a generator dropped is of that form only when the generator
-    # leaves the union; either way its table is its own
+    # leaves the union; either way its regularity is its own
     dropped = [MonomialIdeal(graph.n, ideal.gens - {g}) for g in sorted(ideal.gens, key=sorted)[:3]]
-    for j, table in zip(dropped, fresh_calls(ctx, dropped)[0]):
-        assert table == betti_hochster(j, field), j
+    for j, reg in zip(dropped, fresh_calls(ctx, dropped)[0]):
+        assert reg == betti_hochster(j, field).regularity(), j
 
 
 def test_colon_identities_every_edge(caterpillar):
@@ -215,27 +222,56 @@ def test_ses_edges_report(caterpillar):
     assert "6 edge(s) checked" in report.checks[0].details
 
 
-def test_a_failing_ses_bound_names_its_first_failure(monkeypatch, c7_tail):
+def test_a_failing_ses_bound_names_its_first_failure(monkeypatch, c6_pendant):
     real = GraphContext.reg
     asked = []
 
     def lowered(self, ideal):
         # I3(G) + uv, and no other ideal the check asks for, has a quadric
         # generator; lowering its regularity by one breaks the bound exactly
-        # where the colon side leaves it open
+        # where neither the colon side nor a vertex deletion settles it
         asked.append(ideal)
         return real(self, ideal) - any(len(g) == 2 for g in ideal.gens)
 
     monkeypatch.setattr(GraphContext, "reg", lowered)
-    (report,) = verify_graph(c7_tail, "ses")
+    (report,) = verify_graph(c6_pendant, "ses")
     assert report.checks == [CheckResult(
         "ses_bound", False,
-        "11 edge(s) checked; first failure at (0, 7): "
-        "SesBoundReport(reg_quotient=6, reg_colon_shifted=4, reg_sum=5)",
+        "7 edge(s) checked; first failure at (0, 1): "
+        "SesBoundReport(reg_quotient=3, reg_colon_shifted=2, reg_sum=2)",
     )]
-    ideal = path_ideal(c7_tail, 3)
+    ideal = path_ideal(c6_pendant, 3)
     sums = [j for j in asked if any(len(g) == 2 for g in j.gens)]
-    assert sums == [add_monomial(ideal, (0, 7)), add_monomial(ideal, (7, 8))]
+    assert sums == [add_monomial(ideal, e) for e in C6_PENDANT_SUM_EDGES]
+
+
+def assert_deletions_keep_the_sum_terms(graph, field):
+    """Inside V - w, w in {u, v}, I + uv has exactly I3(G - w)'s generators, so its terms.
+
+    The lemma behind the ses check's deletion certificate, refereed on fresh
+    I + uv sums at every edge of a 3-path.
+    """
+    ctx = GraphContext(graph, field)
+    every = set(range(graph.n))
+    for u, v in graph.edges:
+        if not any(u in g and v in g for g in ctx.ideal.gens):
+            continue
+        j, memo = add_monomial(ctx.ideal, (u, v)), {}
+        betti_hochster(j, field, memo=memo)
+        for w in (u, v):
+            assert restricted_table(j, memo, every - {w}) == ctx.subgraph_table(every - {w}), (u, v, w)
+
+
+@given(padded_graphs(), st.sampled_from([GF2, GF3, QQ]))
+@settings(max_examples=40)
+def test_deleting_an_end_of_uv_leaves_the_terms_of_i_plus_uv_those_of_i(graph, field):
+    assert_deletions_keep_the_sum_terms(graph, field)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=lambda f: f.token)
+@pytest.mark.parametrize("name", FIXTURES)
+def test_deleting_an_end_of_uv_leaves_the_terms_of_i_plus_uv_those_of_i_on_the_fixtures(name, field):
+    assert_deletions_keep_the_sum_terms(load_graph(fixture_path(f"{name}.txt")), field)
 
 
 def test_verify_graph_all_on_tree(caterpillar):
@@ -393,23 +429,32 @@ def test_verify_graph_all_computes_each_betti_table_once(monkeypatch, c7_tail):
 
     monkeypatch.setattr(harness, "betti_hochster", counting)
     verify_graph(c7_tail, "all")
-    # I3(G), and I3(G) + uv at the two edges x1x8 and x8x9, where
-    # reg(I : uv) + 2 = 4 < reg(I) = 6; at the other nine the colon side
+    # I3(G) alone: at x1x8 and x8x9, where reg(I : uv) + 2 = 4 < reg(I) = 6,
+    # deleting x8 leaves reg 6, and at the other nine edges the colon side
     # settles the bound. The 11 edge colons and the 11 vertex deletions are
     # sub-sums of I3(G)'s sum.
     ideal = path_ideal(c7_tail, 3)
-    sums = [add_monomial(ideal, e) for e in ((0, 7), (7, 8))]
-    assert calls == [(ideal, GF2)] + [(j, GF2) for j in sums]
+    assert calls == [(ideal, GF2)]
     verify_graph(c7_tail, "all")  # nothing is kept between calls
-    assert len(calls) == 6
+    assert len(calls) == 2
     calls.clear()
     verify_graph(c7_tail, "monotone")
     assert calls == [(ideal, GF2)]
     calls.clear()
     verify_graph(c7_tail, "ses")
-    colons = {colon(ideal, e) for e in c7_tail.edges}
-    assert not any(j in colons for j, _ in calls)
-    assert len(calls) == 3
+    assert calls == [(ideal, GF2)]
+
+
+# c7_tail_11's sums are pinned above
+@pytest.mark.parametrize(
+    "name, edges", [("caterpillar_7", ()), ("c6_pendant_7", C6_PENDANT_SUM_EDGES)], ids=["caterpillar_7", "c6_pendant_7"]
+)
+def test_verify_graph_all_sums_i_plus_uv_only_where_no_sub_sum_settles_the_bound(name, edges):
+    graph = load_graph(fixture_path(f"{name}.txt"))
+    with mock.patch.object(harness, "betti_hochster", wraps=betti_hochster) as spy:
+        verify_graph(graph, "all")
+    ideal = path_ideal(graph, 3)
+    assert [call.args[0] for call in spy.call_args_list] == [ideal, *(add_monomial(ideal, e) for e in edges)]
 
 
 def test_verify_graph_all_computes_nu3_of_the_graph_once(monkeypatch, caterpillar):
