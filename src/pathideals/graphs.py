@@ -261,12 +261,14 @@ def graph_to_json_obj(graph: Graph) -> dict:
 
 
 def graph_from_json_obj(obj: dict) -> Graph:
-    try:
-        n = int(obj["n"])
-        edges = tuple((int(u), int(v)) for u, v in obj["edges"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed graph JSON: {exc}") from exc
-    labels = obj.get("labels")
+    """``n`` and every endpoint must be JSON integers (a bool is not one); nothing is coerced."""
+    n, edges = obj.get("n"), obj.get("edges")
+    if type(n) is not int:
+        raise InputError(f"malformed graph JSON: n must be an integer, got {n!r}")
+    pairs = isinstance(edges, list) and all(isinstance(e, list) and len(e) == 2 for e in edges)
+    if not pairs or not all(type(x) is int for e in edges for x in e):
+        raise InputError("malformed graph JSON: edges must be a list of [u, v] integer pairs")
+    edges, labels = tuple(map(tuple, edges)), obj.get("labels")
     if labels is None:
         return Graph(n, edges)
     if not isinstance(labels, list) or len(labels) != n or not all(isinstance(x, str) for x in labels):

@@ -107,13 +107,11 @@ def reports_to_csv(reports: Iterable[VerificationReport]) -> str:
 
 @dataclass
 class GraphContext:
-    """One graph's check inputs plus its Betti tables, one per distinct ideal.
+    """One graph's check inputs, I3(G)'s Hochster sum, and one Betti table per vertex set.
 
-    ``memo`` keeps the terms of I3(G)'s own Hochster sum (see
-    ``betti_hochster``), so the table of an induced subgraph, and the
-    regularity of one plus variables (an edge colon), is a sub-sum of it and
-    costs no homology. A context lives for one ``verify_graph`` call or one
-    batch instance, so no table or memo outlives the checks of its graph.
+    ``memo`` keeps the terms of I3(G)'s sum (see ``betti_hochster``); ``tables``
+    keeps, for each vertex set S asked for, their sub-sum over S: I3(G[S])'s table.
+    Both last as long as the context: one ``verify_graph`` call or batch instance.
     """
 
     graph: Graph
@@ -122,27 +120,27 @@ class GraphContext:
     source: str = "graph"
     kind: str = field(init=False)
     ideal: MonomialIdeal = field(init=False)  # I3(G)
-    tables: dict[MonomialIdeal, BettiTable] = field(init=False, default_factory=dict)
+    tables: dict[frozenset[int], BettiTable] = field(init=False, default_factory=dict)
     memo: dict[int, dict[int, int]] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.kind = classify(self.graph).kind
         self.ideal = path_ideal(self.graph, 3)
 
-    def table(self, ideal: MonomialIdeal) -> BettiTable:
-        """Betti table of R/J, one Hochster sum per ideal J; I3(G)'s fills ``memo``."""
-        if ideal not in self.tables:
-            memo = self.memo if ideal == self.ideal else None
-            self.tables[ideal] = betti_hochster(ideal, self.field_, cap=self.cap, memo=memo)
-        return self.tables[ideal]
+    def table(self, keep: Iterable[int] | None = None) -> BettiTable:
+        """Betti table of R/I3(G[keep]), of R/I3(G) when ``keep`` is None, each set's once.
 
-    def subgraph_table(self, keep: Iterable[int]) -> BettiTable:
-        """Betti table of I3(G[keep]): the sub-sum of I3(G)'s terms over W inside ``keep``.
-
-        I3(G)'s table is computed first, so a cap error is its error.
+        The first call runs I3(G)'s sum, which fills ``memo`` and serves the
+        whole vertex set, so a cap error is I3(G)'s; any other set's table
+        is the sub-sum of ``memo``'s terms over W inside it.
         """
-        self.table(self.ideal)
-        return restricted_table(self.ideal, self.memo, keep)
+        every = frozenset(range(self.graph.n))
+        if every not in self.tables:
+            self.tables[every] = betti_hochster(self.ideal, self.field_, cap=self.cap, memo=self.memo)
+        key = every if keep is None else frozenset(keep)
+        if key not in self.tables:
+            self.tables[key] = restricted_table(self.ideal, self.memo, key)
+        return self.tables[key]
 
     def reg(self, ideal: MonomialIdeal):
         """reg(R/J); -inf for the unit ideal.
@@ -151,16 +149,16 @@ class GraphContext:
         of I3(G) inside their own union S, J is I3(G[S]) + <X> with X outside
         S (every edge colon I3(G) : uv has this form). Its resolution is
         I3(G[S])'s tensored with the Koszul complex on X, which shifts i and j
-        together, so reg(R/J) is the regularity of the sub-sum over S. That is
-        a set equality tested on J itself; any other J gets its own table.
+        together, so reg(R/J) is the sub-sum's over S (a set test on J). Any
+        other J, in production only I3(G) + uv, gets its own uncached sum.
         """
         if ideal.is_unit:
             return NEG_INF
         rest = {g for g in ideal.gens if len(g) != 1}
         span = frozenset().union(*rest)
         if rest == {g for g in self.ideal.gens if g <= span}:
-            return self.subgraph_table(span).regularity()
-        return self.table(ideal).regularity()
+            return self.table(span).regularity()
+        return betti_hochster(ideal, self.field_, cap=self.cap).regularity()
 
     @cached_property
     def nu3(self) -> int:
@@ -173,7 +171,7 @@ class GraphContext:
         )
 
     def invariant_report(self) -> VerificationReport:
-        reg = self.reg(self.ideal)
+        reg = self.table().regularity()
         return self.report(reg=reg, nu3=self.nu3, defect=reg - 2 * self.nu3)
 
 
@@ -231,17 +229,17 @@ def ses_edges(ctx: GraphContext, edges: Iterable[tuple[int, int]]) -> Verificati
     there are those of I3(G - w), and reg(R/(I + uv)) >= reg(R/I3(G - w))
     over every field. Both shortcuts are taken only when u and v lie in a
     generator: then I + uv uses no vertex I does not, and cannot meet a cap
-    that I passed.
+    that I passed. Each vertex set's sub-sum is computed once per graph.
     """
     todo = list(edges)
     every = set(range(ctx.graph.n))
-    reg = ctx.reg(ctx.ideal)
+    reg = ctx.table().regularity()
     failures = []
     for u, v in todo:
         on_path = any(u in g and v in g for g in ctx.ideal.gens)
         if on_path and (
             ctx.reg(colon(ctx.ideal, {u, v})) + 2 >= reg
-            or any(ctx.subgraph_table(every - {w}).regularity() >= reg for w in (u, v))
+            or any(ctx.table(every - {w}).regularity() >= reg for w in (u, v))
         ):
             continue
         ses = SesBoundReport.of(ctx.ideal, {u, v}, ctx.reg)
@@ -256,11 +254,11 @@ def ses_edges(ctx: GraphContext, edges: Iterable[tuple[int, int]]) -> Verificati
 def betti_monotonicity(ctx: GraphContext, vertices: Iterable[int]) -> VerificationReport:
     """Entrywise Betti monotonicity under induced subgraphs, plus regularity.
 
-    The subgraph's table is a sub-sum of I3(G)'s Hochster sum, so both
-    checks hold by construction; they stay as a check of the restriction.
+    The subgraph's table is the context's sub-sum of I3(G)'s Hochster sum,
+    so both checks hold by construction; they stay as a check of the restriction.
     """
     keep = set(vertices)
-    table_g, table_h = ctx.table(ctx.ideal), ctx.subgraph_table(keep)
+    table_g, table_h = ctx.table(), ctx.table(keep)
     reg_g, reg_h = table_g.regularity(), table_h.regularity()
     return ctx.report(
         CheckResult("betti_monotone", table_h.entrywise_leq(table_g), f"subgraph on {len(keep)} vertices"),
@@ -272,10 +270,10 @@ def betti_monotonicity(ctx: GraphContext, vertices: Iterable[int]) -> Verificati
 def monotone_deletions(ctx: GraphContext) -> VerificationReport:
     """Betti monotonicity for every single-vertex deletion of the graph.
 
-    Each deletion's table is a sub-sum of I3(G)'s, as in ``betti_monotonicity``.
+    Each deletion's table is the context's sub-sum over V - v, shared with ``ses``.
     """
-    n, table_g = ctx.graph.n, ctx.table(ctx.ideal)
-    deleted = (ctx.subgraph_table(set(range(n)) - {v}) for v in range(n))
+    n, table_g = ctx.graph.n, ctx.table()
+    deleted = (ctx.table(set(range(n)) - {v}) for v in range(n))
     bad = [v for v, table_h in enumerate(deleted) if not table_h.entrywise_leq(table_g)]
     detail = f"{n} deletions checked" + (f"; violated at {bad}" if bad else "")
     return ctx.report(CheckResult("betti_monotone_deletions", not bad, detail), reg=table_g.regularity())

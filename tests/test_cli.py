@@ -212,16 +212,39 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, text",
-    [("reg", '{"n": 1e400, "edges": []}'), ("nu3", '{"n": 3, "edges": [[0, 1e400]]}')],
+    "command, text, message",
+    [
+        ("reg", '{"n": 1e400, "edges": []}', "n must be an integer, got inf"),
+        ("nu3", '{"n": 3, "edges": [[0, 1e400]]}', "edges must be a list of [u, v] integer pairs"),
+    ],
     ids=["huge-n", "huge-vertex"],
 )
-def test_out_of_range_json_number_is_an_input_error(tmp_path, capsys, command, text):
+def test_out_of_range_json_number_is_an_input_error(tmp_path, capsys, command, text, message):
+    # json reads 1e400 as float infinity, which is not a JSON integer
     bad = tmp_path / "huge.json"
     bad.write_text(text)
     code, out, err = run(capsys, command, str(bad))
     assert (code, out) == (2, "")
-    assert err == "input error: malformed graph JSON: cannot convert float infinity to integer\n"
+    assert err == f"input error: malformed graph JSON: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n": 3.9, "edges": [[0, 1.7], [1, 2]]}', "n must be an integer, got 3.9"),
+        ('{"n": 3, "edges": [[0, 1.7], [1, 2]]}', "edges must be a list of [u, v] integer pairs"),
+        ('{"n": "4", "edges": []}', "n must be an integer, got '4'"),
+        ('{"n": true, "edges": []}', "n must be an integer, got True"),
+        ('{"n": 3, "edges": {"01": 0, "12": 1}}', "edges must be a list of [u, v] integer pairs"),
+    ],
+    ids=["float-n", "float-vertex", "string-n", "bool-n", "edges-object"],
+)
+def test_non_integer_graph_json_exits_two(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, "paths", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"input error: malformed graph JSON: {message}\n"
 
 
 def test_missing_file_exit_code(capsys):

@@ -232,10 +232,36 @@ def test_parse_graph_sniffs_json(caterpillar):
         parse_graph('{"edges": [[0, 1]]}')
     with pytest.raises(InputError):
         parse_graph("{broken json")
-    # json reads 1e400 as float infinity, which int() cannot convert
+    # json reads 1e400 as float infinity, which is not a JSON integer
     for text in ('{"n": 1e400, "edges": []}', '{"n": 3, "edges": [[0, 1e400]]}'):
         with pytest.raises(InputError, match="malformed graph JSON"):
             parse_graph(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 3.9, "edges": [[0, 1.7], [1, 2]]}',
+        '{"n": 3, "edges": [[0, 1.7], [1, 2]]}',
+        '{"n": 3.0, "edges": [[0, 1], [1, 2]]}',
+        '{"n": "4", "edges": []}',
+        '{"n": true, "edges": []}',
+        '{"n": null, "edges": []}',
+        '{"n": 3, "edges": [[0, true]]}',
+        '{"n": 3, "edges": [["0", 1]]}',
+        '{"n": 3, "edges": {"01": 0, "12": 1}}',
+        '{"n": 3, "edges": "01"}',
+        '{"n": 3, "edges": [[0, 1, 2]]}',
+        '{"n": 3, "edges": [[0]]}',
+        '{"n": 3, "edges": [{"0": 1}]}',
+        '{"n": 3}',
+    ],
+)
+def test_graph_json_takes_integers_and_integer_pairs_only(text):
+    # nothing is coerced: no float is truncated, no string or bool converted,
+    # and no object's keys are read as its edges
+    with pytest.raises(InputError, match="^malformed graph JSON: "):
+        parse_graph(text)
 
 
 def test_load_graph_names_the_file_on_undecodable_input(tmp_path):

@@ -114,7 +114,7 @@ def padded_graphs(draw):
 def assert_subgraph_tables_are_fresh_tables(graph, field, subsets, reference=betti_hochster):
     ctx = GraphContext(graph, field)
     for keep in subsets:
-        assert ctx.subgraph_table(keep) == reference(path_ideal_within(graph, keep, 3), field), keep
+        assert ctx.table(keep) == reference(path_ideal_within(graph, keep, 3), field), keep
 
 
 @given(padded_graphs(), st.sampled_from([GF2, GF3, QQ]), st.data())
@@ -137,14 +137,14 @@ def test_subgraph_tables_without_a_3_path_are_trivial():
     # the empty set, an isolated edge with an isolated vertex, and the path
     # 3-4-5-6-7 with 4 and 7 deleted
     for keep in (set(), {0, 8, 2}, {0, 3, 5, 6}):
-        assert ctx.subgraph_table(keep) == trivial
+        assert ctx.table(keep) == trivial
     edgeless = GraphContext(Graph(3, ()))
-    assert edgeless.subgraph_table({0, 1}) == trivial and not edgeless.memo
+    assert edgeless.table({0, 1}) == trivial and not edgeless.memo
 
 
 def fresh_calls(ctx, ideals):
     """``ctx.reg`` of each ideal, and the ideals it ran a Hochster sum of its own for."""
-    ctx.table(ctx.ideal)
+    ctx.table()
     with mock.patch.object(harness, "betti_hochster", wraps=betti_hochster) as spy:
         regs = [ctx.reg(j) for j in ideals]
     return regs, [call.args[0] for call in spy.call_args_list]
@@ -166,7 +166,7 @@ def test_subgraph_tables_match_the_koszul_oracle(field, caterpillar, c5_pendant)
         assert fresh == []
         for j, reg in zip(cases, regs):
             table = betti_koszul_oracle(j, field)
-            assert ctx.table(j) == table and reg == table.regularity(), j
+            assert betti_hochster(j, field) == table and reg == table.regularity(), j
 
 
 @given(padded_graphs(), st.sampled_from([GF2, GF3, QQ]), st.data())
@@ -188,8 +188,7 @@ def test_colon_tables_are_the_fresh_tables(graph, field, data):
     regs, fresh = fresh_calls(ctx, cases)
     assert fresh == []
     for j, reg in zip(cases, regs):
-        table = betti_hochster(j, field)
-        assert ctx.table(j) == table and reg == table.regularity(), j
+        assert reg == betti_hochster(j, field).regularity(), j
     # I + uv, and the one-vertex colons of it and of I, are not of that form
     # when they keep a quadric generator, and get their own sums
     quadrics = [
@@ -198,7 +197,7 @@ def test_colon_tables_are_the_fresh_tables(graph, field, data):
         for j in (add_monomial(ideal, (u, v)), colon(add_monomial(ideal, (u, v)), {u}), colon(ideal, {u}))
         if any(len(g) == 2 for g in j.gens)
     ]
-    assert fresh_calls(ctx, quadrics)[1] == list(dict.fromkeys(quadrics))
+    assert fresh_calls(ctx, quadrics)[1] == quadrics
     # I with a generator dropped is of that form only when the generator
     # leaves the union; either way its regularity is its own
     dropped = [MonomialIdeal(graph.n, ideal.gens - {g}) for g in sorted(ideal.gens, key=sorted)[:3]]
@@ -259,7 +258,7 @@ def assert_deletions_keep_the_sum_terms(graph, field):
         j, memo = add_monomial(ctx.ideal, (u, v)), {}
         betti_hochster(j, field, memo=memo)
         for w in (u, v):
-            assert restricted_table(j, memo, every - {w}) == ctx.subgraph_table(every - {w}), (u, v, w)
+            assert restricted_table(j, memo, every - {w}) == ctx.table(every - {w}), (u, v, w)
 
 
 @given(padded_graphs(), st.sampled_from([GF2, GF3, QQ]))
@@ -445,16 +444,31 @@ def test_verify_graph_all_computes_each_betti_table_once(monkeypatch, c7_tail):
     assert calls == [(ideal, GF2)]
 
 
-# c7_tail_11's sums are pinned above
-@pytest.mark.parametrize(
-    "name, edges", [("caterpillar_7", ()), ("c6_pendant_7", C6_PENDANT_SUM_EDGES)], ids=["caterpillar_7", "c6_pendant_7"]
-)
-def test_verify_graph_all_sums_i_plus_uv_only_where_no_sub_sum_settles_the_bound(name, edges):
-    graph = load_graph(fixture_path(f"{name}.txt"))
-    with mock.patch.object(harness, "betti_hochster", wraps=betti_hochster) as spy:
+def sums_of_verify_all(graph) -> list[MonomialIdeal]:
+    """The ideals ``verify_graph(graph, "all")`` runs Hochster sums of, once no vertex set's sub-sum repeats."""
+    with mock.patch.object(harness, "restricted_table", wraps=restricted_table) as subs, \
+            mock.patch.object(harness, "betti_hochster", wraps=betti_hochster) as sums:
         verify_graph(graph, "all")
+    keeps = [frozenset(call.args[2]) for call in subs.call_args_list]
+    assert len(keeps) == len(set(keeps)), keeps
+    return [call.args[0] for call in sums.call_args_list]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_verify_graph_all_sums_i_plus_uv_only_where_no_sub_sum_settles_the_bound(name):
+    graph = load_graph(fixture_path(f"{name}.txt"))
     ideal = path_ideal(graph, 3)
-    assert [call.args[0] for call in spy.call_args_list] == [ideal, *(add_monomial(ideal, e) for e in edges)]
+    edges = C6_PENDANT_SUM_EDGES if name == "c6_pendant_7" else ()
+    assert sums_of_verify_all(graph) == [ideal, *(add_monomial(ideal, e) for e in edges)]
+
+
+@given(padded_graphs())
+@settings(max_examples=40)
+def test_verify_graph_all_sums_each_vertex_set_once_on_padded_graphs(graph):
+    ideal = path_ideal(graph, 3)
+    first, *rest = sums_of_verify_all(graph)
+    assert first == ideal
+    assert set(rest) <= {add_monomial(ideal, e) for e in graph.edges}
 
 
 def test_verify_graph_all_computes_nu3_of_the_graph_once(monkeypatch, caterpillar):
