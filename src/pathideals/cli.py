@@ -2,6 +2,10 @@
 
 Subcommands: paths, reg, nu3, verify, search. Exit codes are a stable
 contract: 0 success, 1 verification failure, 2 input error, 3 capacity error.
+
+``main(argv)`` returns the exit code instead of exiting, so it may be called
+any number of times in one process; the argument parser is built on the
+first call and reused by every later one.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import json
 import os
 import sys
 from collections import Counter
+from functools import cache
 
 from .betti import CAP_ENV_VAR, DEFAULT_CAP, FieldSpec, betti_hochster
 from .errors import CapacityError, InputError
@@ -170,7 +175,15 @@ def cmd_search(args) -> int:
     return _exit_status(reports)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process.
+
+    Reuse is safe because ``parse_args`` returns a fresh namespace on every
+    call and every default is immutable. Each subcommand's ``cmd_*``
+    function is bound as a default when the parser is built, so replacing
+    one afterwards has no effect until ``build_parser.cache_clear()``.
+    """
     parser = argparse.ArgumentParser(
         prog="pathideals",
         description="Exact 3-path ideal invariants of graphs: regularity, Betti tables, nu3.",
@@ -238,6 +251,8 @@ def main(argv: list[str] | None = None) -> int:
                 args.cap = _default_cap()
             if args.cap < 0:
                 raise InputError(f"cap must be nonnegative, got {args.cap}")
+        if hasattr(args, "jobs") and args.jobs < 1:
+            raise InputError(f"jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)

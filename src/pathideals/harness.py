@@ -111,7 +111,10 @@ class GraphContext:
 
     ``memo`` keeps the terms of I3(G)'s sum (see ``betti_hochster``); ``tables``
     keeps, for each vertex set S asked for, their sub-sum over S: I3(G[S])'s table.
-    Both last as long as the context: one ``verify_graph`` call or batch instance.
+    That sub-sum depends on S only through the vertices some 3-path uses
+    (``used``), so S is keyed by its part inside them, and I3(G)'s table by
+    ``used`` itself. Both last as long as the context: one ``verify_graph``
+    call or batch instance.
     """
 
     graph: Graph
@@ -120,24 +123,25 @@ class GraphContext:
     source: str = "graph"
     kind: str = field(init=False)
     ideal: MonomialIdeal = field(init=False)  # I3(G)
+    used: frozenset[int] = field(init=False)  # the vertices on some 3-path
     tables: dict[frozenset[int], BettiTable] = field(init=False, default_factory=dict)
     memo: dict[int, dict[int, int]] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.kind = classify(self.graph).kind
         self.ideal = path_ideal(self.graph, 3)
+        self.used = frozenset().union(*self.ideal.gens)
 
     def table(self, keep: Iterable[int] | None = None) -> BettiTable:
         """Betti table of R/I3(G[keep]), of R/I3(G) when ``keep`` is None, each set's once.
 
-        The first call runs I3(G)'s sum, which fills ``memo`` and serves the
-        whole vertex set, so a cap error is I3(G)'s; any other set's table
-        is the sub-sum of ``memo``'s terms over W inside it.
+        The first call runs I3(G)'s sum, which fills ``memo`` and serves every
+        set holding all of ``used``, so a cap error is I3(G)'s; any other
+        set's table is the sub-sum of ``memo``'s terms over W inside it.
         """
-        every = frozenset(range(self.graph.n))
-        if every not in self.tables:
-            self.tables[every] = betti_hochster(self.ideal, self.field_, cap=self.cap, memo=self.memo)
-        key = every if keep is None else frozenset(keep)
+        if self.used not in self.tables:
+            self.tables[self.used] = betti_hochster(self.ideal, self.field_, cap=self.cap, memo=self.memo)
+        key = self.used if keep is None else self.used.intersection(keep)
         if key not in self.tables:
             self.tables[key] = restricted_table(self.ideal, self.memo, key)
         return self.tables[key]

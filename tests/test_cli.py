@@ -1,8 +1,10 @@
+import argparse
 import json
 import os
 
 import pytest
 
+from pathideals import cli
 from pathideals.cli import main
 
 from conftest import fixture_path
@@ -184,6 +186,9 @@ def test_verify_rejects_jobs_below_one(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert "jobs must be at least 1" in err
     assert not out_file.exists()
+    # a single graph runs no batch, and is rejected the same way
+    code, out, err = run(capsys, "verify", CATERPILLAR, "--jobs", "0")
+    assert (code, out, err) == (2, "", "input error: jobs must be at least 1, got 0\n")
 
 
 def test_search_rejects_jobs_below_one(tmp_path, capsys):
@@ -430,3 +435,57 @@ def test_reg_largest_allowed_prime_gives_the_rational_table(capsys, path):
     expected = betti_hochster(path_ideal(load_graph(path), 3), QQ).to_json_obj(QQ)
     del expected["field"]
     assert obj == expected
+
+
+# An interleaved sequence of in-process calls: (PATHIDEALS_CAP, or None to unset it; argv).
+REPEATED_CALLS = [
+    (None, ("reg", CATERPILLAR, "--format", "json")),
+    (None, ("reg", C5_PENDANT, "--field", "q")),
+    (None, ("reg", "--bogus", CATERPILLAR)),
+    (None, ("reg", C6_PENDANT, "--format", "csv", "--field", "q")),
+    ("5", ("verify", C7_TAIL, "--which", "lower")),
+    (None, ("verify", C7_TAIL, "--which", "lower")),
+    (None, ("paths", CATERPILLAR, "--t", "2")),
+    (None, ("nu3", C5_PENDANT)),
+    (None, ("reg", C7_TAIL, "--cap", "5")),
+    (None, ("reg", C5_PENDANT, "--format", "csv")),
+    (None, ("reg", CATERPILLAR, "--format", "json", "--field", "q")),
+]
+
+
+def outcome(capsys, monkeypatch, cap, argv):
+    """Exit code, stdout and stderr of ``main(argv)`` under the given PATHIDEALS_CAP."""
+    if cap is None:
+        monkeypatch.delenv("PATHIDEALS_CAP", raising=False)
+    else:
+        monkeypatch.setenv("PATHIDEALS_CAP", cap)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the arguments
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_main_calls_answer_as_fresh_ones_from_one_parser(capsys, monkeypatch):
+    with monkeypatch.context() as fresh:
+        fresh.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        expected = [outcome(capsys, monkeypatch, cap, argv) for cap, argv in REPEATED_CALLS]
+    assert [code for code, _, _ in expected] == [0, 0, 2, 0, 3, 0, 0, 0, 3, 0, 0]
+
+    roots = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "pathideals":  # the subcommands' parsers are "pathideals <name>"
+            roots.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        got = [outcome(capsys, monkeypatch, cap, argv) for cap, argv in REPEATED_CALLS]
+    finally:
+        cli.build_parser.cache_clear()
+    assert got == expected
+    assert len(roots) == 1

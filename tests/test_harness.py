@@ -1,3 +1,4 @@
+import hashlib
 import json
 from unittest import mock
 
@@ -469,6 +470,29 @@ def test_verify_graph_all_sums_each_vertex_set_once_on_padded_graphs(graph):
     first, *rest = sums_of_verify_all(graph)
     assert first == ideal
     assert set(rest) <= {add_monomial(ideal, e) for e in graph.edges}
+
+
+# The path 0-1-2-3 plus the edge 4-5, which lies on no 3-path. The digests
+# pin the report bytes, which the keying of the tables must not change.
+P4_PLUS_EDGE = Graph(6, ((0, 1), (1, 2), (2, 3), (4, 5)))
+P4_PLUS_EDGE_REPORTS = {
+    "ses": "fe73edae1c48f6b33c63dc3da6f1dd11167530b307d889e9fbd342ce2036d9a5",
+    "all": "631eea5bcfcc81e6c05852d55e1aa64bf3b69ae918382e9e72b3dea0edb618f9",
+}
+
+
+@pytest.mark.parametrize("which, keeps", [
+    # the path's edge colons are variables only, the sub-sum over no vertex;
+    # the colon at 4-5 is I3(G) itself, whose table is not a sub-sum
+    ("ses", [[]]),
+    # and the four deletions on the path; deleting 4 or 5 is I3(G)'s table
+    ("all", [[], [1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]),
+])
+def test_vertex_sets_are_keyed_by_the_vertices_on_3_paths(which, keeps):
+    with mock.patch.object(harness, "restricted_table", wraps=restricted_table) as subs:
+        text = reports_to_jsonl(verify_graph(P4_PLUS_EDGE, which))
+    assert [sorted(call.args[2]) for call in subs.call_args_list] == keeps
+    assert hashlib.sha256(text.encode()).hexdigest() == P4_PLUS_EDGE_REPORTS[which]
 
 
 def test_verify_graph_all_computes_nu3_of_the_graph_once(monkeypatch, caterpillar):
