@@ -12,16 +12,18 @@ order, so every proper subset comes first, and takes the homology of a
 complex with a dominated vertex (a strong collapse) or, failing that, of a
 join (Kuenneth: the component of the lowest vertex times the rest) from
 smaller subsets, deciding from the generators inside each subset alone.
-The augmented boundary rows of the faces inside the remaining subsets, which
-form a subcomplex, are built once, with one column numbering per dimension;
-there is always such a subset, since a generator's support, whose complex
-is the boundary of a simplex, is never reduced.
-Each remaining subset selects the rows of its faces and is ranked; the
+A generator's support, which the plan never reduces, holds no other
+generator, so its complex is the boundary of a simplex, a sphere whose
+series is written down. The augmented boundary rows of the faces inside the
+other remaining subsets, which form a subcomplex (empty for a path), are
+built once, with one column numbering per dimension, in the sorted order of
+the faces. Each such subset selects the rows of its faces and is ranked; the
 others are multiplied out of a memo. A fourth rule picks what is ranked:
 when some W - v is nonempty and Delta_{W-v} is acyclic (its series is not in
 the memo), the link of v in Delta_W is ranked instead, its homology shifted
 up by one degree (Mayer-Vietoris over the star of v, a cone). The link has
-about a third of Delta_W's faces on dense graphs.
+about a third of Delta_W's faces on dense graphs, and is read from an index
+of the faces holding v, built once per sum for each such v.
 
 The memo of nonzero series is the sum's own record of its terms. Handed to
 ``restricted_table``, it gives the table of the ideal generated by the
@@ -429,14 +431,20 @@ def betti_hochster(
     union is 0 and survives where it is W itself.
 
     - plan: ``_plan`` takes the homology of a strong collapse or of a join
-      from smaller subsets, and leaves every other W to be ranked;
-    - rows: the boundary rows of the faces inside some ranked W, a
-      subcomplex, are built once. Some W is always ranked: a generator g
-      survives, and Delta_g, the boundary of a simplex ({empty set} when
-      |g| = 1), has one component and no dominated vertex;
+      from smaller subsets, and leaves every other W to be ranked. Each
+      generator's support g is among those: Delta_g, the boundary of a
+      simplex ({empty set} when |g| = 1), has one component and no
+      dominated vertex;
+    - rows: Delta_g needs no rank, since g is the only generator inside it
+      (minimal generators form an antichain), and its series is t^(|g|-1).
+      The boundary rows of the faces inside every other W left to rank, a
+      subcomplex, are built once, aligned with the sorted array of those
+      faces. There are none when every such W is a generator's support, as
+      on a path;
     - evaluate: in mask order, so every proper subset of W comes first, each
-      W's Poincare series is ranked or multiplied out of the memo, which
-      keeps only nonzero series.
+      W's Poincare series is written down, ranked or multiplied out of the
+      memo, which keeps only nonzero series. A ranked Delta_W selects its
+      rows by one vectorized test on the face array.
 
     A ranked W with a vertex v such that W - v is nonempty and has no series
     in the memo (Delta_{W-v} is acyclic: a cone or zero homology) ranks the
@@ -444,6 +452,9 @@ def betti_hochster(
     union of Delta_{W-v} and the star of v, a cone, which meet in lk(v), so
     reduced Mayer-Vietoris gives H~_d(Delta_W) = H~_{d-1}(lk v) over every
     field. W - v must be nonempty: Delta_{} = {empty set} has H~_{-1} = 1.
+    The link is read from an index built once per sum for each such v: the
+    faces F - v for every face F != {v} holding v, with the position of each
+    in the face array. A ranked link keeps the entries inside W.
     Every vertex of a ranked W with two or more vertices is a vertex of
     Delta_W, since a generator {v} inside W would make v dominated.
 
@@ -490,27 +501,39 @@ def betti_hochster(
     del covered
     plan = _plan(survivors, gmasks, is_face, len(used))
 
+    # a generator's support W is a sphere, written down: no rank and no rows
+    gens = set(gmasks)
     # mark the ranked W, then every subset of one, a bit at a time
     below = np.zeros(1 << len(used), dtype=bool)
-    below[[w for w, parts in plan if parts is None]] = True
+    below[[w for w, parts in plan if parts is None and w not in gens]] = True
     for b in range(len(used)):
         halves = below.reshape(-1, 2, 1 << b)
         halves[:, 0] |= halves[:, 1]
     faces = np.flatnonzero(is_face & below)[1:]
-    face_list = faces.tolist()
-    row_of = dict(zip(face_list, _boundary_rows(face_list, char)))
+    rows = _boundary_rows(faces.tolist(), char)
+    # links[v]: F - v for each face F != {v} holding v, and where it sits in faces
+    links: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     bits = [1 << p for p in range(len(used))]
 
     for w, parts in plan:
-        if parts is None:
-            own = faces[(faces & ~w) == 0].tolist()
+        if parts is None and w in gens:
+            # one sphere of dimension |W| - 2, or {empty set} when |W| = 1
+            series = {w.bit_count() - 1: 1}
+        elif parts is None:
             # the lowest v with Delta_{W-v} acyclic: W - v nonempty, no series in the memo
             v = next((b for b in bits if w & b and b != w and w ^ b not in memo), 0)
             if v:
                 # rank lk(v) = {F - v : v in F in Delta_W, F != {v}}, whose faces
                 # are faces of Delta_W too, so their rows are already built
-                own = [f ^ v for f in own if f & v and f != v]
-            dims = _homology_dims_from_faces([row_of[f] for f in own], char)
+                if v not in links:
+                    lk = faces[(faces & v) != 0]
+                    lk = lk[lk != v] ^ v
+                    links[v] = lk, np.searchsorted(faces, lk)
+                lk, at = links[v]
+                idx = at[(lk & ~w) == 0]
+            else:
+                idx = np.flatnonzero((faces & ~w) == 0)
+            dims = _homology_dims_from_faces(list(map(rows.__getitem__, idx.tolist())), char)
             shift = 2 if v else 1
             series = {d + shift: h for d, h in dims.items()}
         else:

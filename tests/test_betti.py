@@ -400,49 +400,108 @@ def test_plan_collapses_the_lowest_dominated_vertex_then_peels_a_component(i):
         assert parts == (None if comp == w else (comp, w ^ comp))
 
 
-def count_ranked(monkeypatch) -> list[int]:
-    """Record the face count of every complex betti_hochster ranks."""
-    ranked = []
-    original = betti._homology_dims_from_faces
+def recorded_sum(i, field=GF2):
+    """``betti_hochster(i, field)`` with what ``_plan`` returned, the face count
+    of each ranked complex and the faces given boundary rows."""
+    plans, ranked, built = [], [], []
+    plan, dims, rows = betti._plan, betti._homology_dims_from_faces, betti._boundary_rows
+
+    def planned(*args):
+        plans.append(plan(*args))
+        return plans[-1]
 
     def counted(rows, char):
         ranked.append(len(rows))
-        return original(rows, char)
+        return dims(rows, char)
 
-    monkeypatch.setattr(betti, "_homology_dims_from_faces", counted)
-    return ranked
+    def listed(faces, char):
+        built.extend(faces)
+        return rows(faces, char)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(betti, "_plan", planned)
+        mp.setattr(betti, "_homology_dims_from_faces", counted)
+        mp.setattr(betti, "_boundary_rows", listed)
+        table = betti_hochster(i, field)
+    [planned_once] = plans
+    return table, planned_once, ranked, built
 
 
-def test_reduction_ranks_few_complexes_on_an_n18_tree(monkeypatch):
+def path_forest(*lengths):
+    """Disjoint paths with these vertex counts, numbered path after path."""
+    edges, first = [], 0
+    for n in lengths:
+        edges += [(first + k, first + k + 1) for k in range(n - 1)]
+        first += n
+    return Graph(first, tuple(edges))
+
+
+def test_reduction_ranks_few_complexes_on_an_n18_tree():
     graph = tree_from_rng(18, SplitMix64(1))
-    ranked = count_ranked(monkeypatch)
-    table = betti_hochster(path_ideal(graph, 3))
-    # 26 of the 4,255 surviving subsets are ranked; the rest are joins or collapses
+    table, _, ranked, _ = recorded_sum(path_ideal(graph, 3))
+    # 26 of the 4,255 surviving subsets are left to rank, the rest being joins or
+    # collapses, and 19 of those are generator supports: 7 complexes are ranked
     assert len(ranked) <= 100
     assert table.regularity() == 8 == 2 * nu3(graph)[0]
 
 
-def test_reduction_ranks_no_subset_spanning_two_disjoint_paths(monkeypatch):
-    ranked = count_ranked(monkeypatch)
+def test_reduction_ranks_no_subset_spanning_two_disjoint_paths():
+    def unreduced_and_reg(*lengths):
+        """The plan's entries left to rank, and reg(R/I3), of a path forest."""
+        table, plan, ranked, built = recorded_sum(path_ideal(path_forest(*lengths), 3))
+        # each such entry is a 3-path's support, so nothing is ranked and no row is built
+        assert ranked == built == []
+        return [w for w, parts in plan if parts is None], table.regularity()
 
-    def ranked_and_reg(*lengths):
-        """Ranked count and reg(R/I3) of a forest of disjoint paths with these vertex counts."""
-        edges, first = [], 0
-        for n in lengths:
-            edges += [(first + k, first + k + 1) for k in range(n - 1)]
-            first += n
-        ranked.clear()
-        reg = betti_hochster(path_ideal(Graph(first, tuple(edges)), 3)).regularity()
-        return len(ranked), reg
-
-    # a subset inside one path is planned as on that path alone, so any excess
-    # would be a subset spanning two paths, which is a join
-    (c7, r7), (c8, r8) = ranked_and_reg(7), ranked_and_reg(8)
-    assert c7 > 0 and c8 > 0
-    assert ranked_and_reg(7, 8) == (c7 + c8, r7 + r8)
+    # a subset inside one path is planned as on that path alone, so any other
+    # entry would be a subset spanning two paths, which is a join
+    (u7, r7), (u8, r8) = unreduced_and_reg(7), unreduced_and_reg(8)
+    assert unreduced_and_reg(7, 8) == (u7 + [w << 7 for w in u8], r7 + r8)
+    # on a path those entries are exactly the supports of its 3-paths
+    assert [unreduced_and_reg(n) for n in (5, 6, 7, 8)] == [
+        ([0b111 << k for k in range(n - 2)], r) for n, r in ((5, 2), (6, 2), (7, 4), (8, 4))
+    ]
     # with three paths, the rest of such a join can be a join again
-    assert [ranked_and_reg(n) for n in (5, 6, 7)] == [(3, 2), (4, 2), (5, 4)]
-    assert ranked_and_reg(5, 6, 7) == (3 + 4 + 5, 2 + 2 + 4)
+    u, r = unreduced_and_reg(5, 6, 7)
+    assert u == [0b111 << k for k in (0, 1, 2, 5, 6, 7, 8, 11, 12, 13, 14, 15)]
+    assert r == 2 + 2 + 4
+
+
+def generator_supports(i):
+    used = sorted(set().union(*i.gens))
+    return {sum(1 << used.index(v) for v in g) for g in i.gens}
+
+
+@given(ambient_ideals(), st.sampled_from([GF2, GF3, QQ]))
+@settings(max_examples=60)
+# a degree-1 generator next to cubics: Delta_{0} = {empty set}
+@example(ideal(6, (0,), (1, 2, 3), (2, 3, 4)), QQ)
+# degrees 1-4: the five supports take the closed form, two other subsets are ranked
+@example(ideal(7, (1,), (0, 6), (0, 4, 5), (2, 3, 5), (3, 4, 5, 6)), GF3)
+@example(ideal(9, *RP2_NONFACES, (6,), (7, 8)), GF2)
+def test_generator_supports_take_their_sphere_in_closed_form(i, field):
+    table, plan, ranked, _ = recorded_sum(i, field)
+    assert table == betti_hochster_unpruned(i, field)
+    assert table == betti_koszul_oracle(i, field)
+    gens = generator_supports(i)
+    assert len(ranked) == sum(parts is None and w not in gens for w, parts in plan)
+
+
+@pytest.mark.parametrize(
+    "i",
+    [
+        path_ideal(path_forest(11), 3),
+        ideal(5, (1, 2, 4)),
+        ideal(3, (1,)),
+        path_ideal(path_forest(3, 4, 5), 3),
+    ],
+    ids=["P11", "cubic", "variable", "P3+P4+P5"],
+)
+def test_paths_and_single_generators_rank_nothing_and_build_no_rows(i):
+    table, plan, ranked, built = recorded_sum(i)
+    assert ranked == built == []
+    assert {w for w, parts in plan if parts is None} == generator_supports(i)
+    assert table == betti_hochster_unpruned(i)
 
 
 @given(
@@ -496,15 +555,15 @@ def test_link_rule_sees_the_torsion_of_rp2(monkeypatch, field):
     )
 
 
-def test_link_rule_ranks_smaller_complexes_on_g16(monkeypatch):
+def test_link_rule_ranks_smaller_complexes_on_g16():
     graph = graph_from_rng(16, 0.3, SplitMix64(1))
-    ranked = count_ranked(monkeypatch)
-    table = betti_hochster(path_ideal(graph, 3))
+    table, _, ranked, _ = recorded_sum(path_ideal(graph, 3))
     # the link rule changes what is ranked, not which subsets: 8,818 of 21,090
-    # survivors, with 664,276 face rows in all (1,974,528 when each whole
-    # Delta_W was ranked)
-    assert len(ranked) == 8818
-    assert sum(ranked) <= 664_276
+    # survivors are left to rank, and the 98 generator supports among them
+    # are spheres in closed form, so 8,720 complexes with 664,080 face rows in
+    # all (1,974,528 when each whole Delta_W was ranked)
+    assert len(ranked) == 8720
+    assert sum(ranked) == 664_080
     assert table.regularity() == 4 == 2 * nu3(graph)[0]
 
 
