@@ -107,8 +107,9 @@ class Graph:
     def three_paths_within(self, vertices: Iterable[int]) -> list[Path3]:
         """Paths on 3 vertices using only the given vertex set."""
         allowed = set(vertices)
-        for v in allowed:
-            self._check_vertex(v)
+        if allowed and not (0 <= min(allowed) and max(allowed) < self.n):
+            for v in allowed:
+                self._check_vertex(v)
         out: list[Path3] = []
         for b in sorted(allowed):
             nb = sorted(self.adj[b] & allowed)

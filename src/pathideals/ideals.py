@@ -18,11 +18,17 @@ Monomial = frozenset[int]
 
 
 def minimalize(gens: Iterable[Iterable[int]]) -> frozenset[Monomial]:
-    """Unique minimal generating set: drop every support containing another."""
+    """Unique minimal generating set: drop every support containing another.
+
+    Distinct supports of one size contain none of each other, so such a set
+    (a path ideal's) is returned as it is.
+    """
     supports = sorted({frozenset(g) for g in gens}, key=len)
+    if not supports or len(supports[0]) == len(supports[-1]):
+        return frozenset(supports)
     keep: list[Monomial] = []
     for g in supports:
-        if not any(h <= g for h in keep):
+        if not any(map(g.issuperset, keep)):
             keep.append(g)
     return frozenset(keep)
 
@@ -42,10 +48,13 @@ class MonomialIdeal:
         if self.n < 0:
             raise InputError("ambient size must be nonnegative")
         gens = minimalize(self.gens)
-        for g in gens:
-            for v in g:
-                if not (0 <= v < self.n):
-                    raise InputError(f"variable {v} out of ambient range n={self.n}")
+        variables = frozenset().union(*gens)
+        if variables and not (0 <= min(variables) and max(variables) < self.n):
+            # name the first variable out of range, generator by generator
+            for g in gens:
+                for v in g:
+                    if not (0 <= v < self.n):
+                        raise InputError(f"variable {v} out of ambient range n={self.n}")
         object.__setattr__(self, "gens", gens)
 
     @property
@@ -107,8 +116,8 @@ def edge_colon_closed_form(graph: Graph, u: int, v: int) -> MonomialIdeal:
     """
     ne = graph.edge_neighborhood(u, v)
     rest = set(range(graph.n)) - graph.closed_edge_neighborhood(u, v)
-    ideal = path_ideal_within(graph, rest, 3)
-    return add_vars(ideal, ne)
+    gens = {frozenset({w}) for w in ne} | {frozenset(p) for p in graph.three_paths_within(rest)}
+    return MonomialIdeal(graph.n, frozenset(gens))
 
 
 def vertex_colon_closed_form(graph: Graph, x: int, y: int) -> MonomialIdeal:
@@ -126,5 +135,5 @@ def vertex_colon_closed_form(graph: Graph, x: int, y: int) -> MonomialIdeal:
         for k in range(i + 1, len(others)):
             h_edges.add(frozenset((others[i], others[k])))
     rest = set(range(graph.n)) - graph.closed_neighbors(x)
-    gens = {frozenset({y})} | h_edges | path_ideal_within(graph, rest, 3).gens
+    gens = {frozenset({y})} | h_edges | {frozenset(p) for p in graph.three_paths_within(rest)}
     return MonomialIdeal(graph.n, frozenset(gens))

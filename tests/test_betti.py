@@ -21,12 +21,15 @@ from pathideals.betti import (
     regularity,
 )
 from pathideals.errors import CapacityError, InputError
-from pathideals.generators import SplitMix64, graph_from_rng, random_graph, tree_from_rng, unicyclic_from_rng
+from pathideals.generators import (
+    SplitMix64, graph_from_rng, random_graph, random_tree, tree_from_rng, unicyclic_from_rng,
+)
 from pathideals.graphs import Graph
 from pathideals.ideals import MonomialIdeal, colon, path_ideal
 from pathideals.matching import nu3
 
 from oracles import (
+    _faces_and_sizes,
     betti_hochster_unpruned,
     betti_koszul_oracle,
     rank_fraction,
@@ -400,11 +403,12 @@ def test_plan_collapses_the_lowest_dominated_vertex_then_peels_a_component(i):
         assert parts == (None if comp == w else (comp, w ^ comp))
 
 
-def recorded_sum(i, field=GF2):
-    """``betti_hochster(i, field)`` with what ``_plan`` returned, the face count
-    of each ranked complex and the faces given boundary rows."""
+def recorded_sum(i, field=GF2, memo=None):
+    """``betti_hochster(i, field, memo=memo)`` with what ``_plan`` returned, the
+    face count of each ranked complex and the faces given boundary rows, in
+    the order their rows were built."""
     plans, ranked, built = [], [], []
-    plan, dims, rows = betti._plan, betti._homology_dims_from_faces, betti._boundary_rows
+    plan, dims, row = betti._plan, betti._homology_dims_from_faces, betti._boundary_row
 
     def planned(*args):
         plans.append(plan(*args))
@@ -414,15 +418,15 @@ def recorded_sum(i, field=GF2):
         ranked.append(len(rows))
         return dims(rows, char)
 
-    def listed(faces, char):
-        built.extend(faces)
-        return rows(faces, char)
+    def listed(face, ids, char):
+        built.append(face)
+        return row(face, ids, char)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(betti, "_plan", planned)
         mp.setattr(betti, "_homology_dims_from_faces", counted)
-        mp.setattr(betti, "_boundary_rows", listed)
-        table = betti_hochster(i, field)
+        mp.setattr(betti, "_boundary_row", listed)
+        table = betti_hochster(i, field, memo=memo)
     [planned_once] = plans
     return table, planned_once, ranked, built
 
@@ -470,6 +474,48 @@ def test_reduction_ranks_no_subset_spanning_two_disjoint_paths():
 def generator_supports(i):
     used = sorted(set().union(*i.gens))
     return {sum(1 << used.index(v) for v in g) for g in i.gens}
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [tree_from_rng(18, SplitMix64(1)), graph_from_rng(16, 0.3, SplitMix64(1))],
+    ids=["tree18", "G16"],
+)
+def test_rows_are_built_once_for_the_faces_ranked_complexes_read(graph):
+    i, memo = path_ideal(graph, 3), {}
+    _, plan, ranked, built = recorded_sum(i, memo=memo)
+    # what each ranked W reads, from the plan, the final memo and Delta's faces
+    # alone: memo entries below W are final when W is reached, so they decide
+    # the link rule's v as they did then
+    faces = np.flatnonzero(_faces_and_sizes(i)[0])[1:]
+    gens, counts, read, below = generator_supports(i), [], set(), set()
+    for w, parts in plan:
+        if parts is not None or w in gens:
+            continue
+        inside = faces[(faces & ~w) == 0]
+        below.update(inside.tolist())
+        v = next((b for b in (1 << p for p in range(w.bit_length())) if w & b and b != w and w ^ b not in memo), 0)
+        if v:
+            inside = inside[(inside & v) != 0]
+            inside = inside[inside != v] ^ v
+        counts.append(len(inside))
+        read.update(inside.tolist())
+    assert ranked == counts
+    # one row per face some ranked complex reads, and none for the other faces
+    # below a ranked W (tree18: 186 of 441 faces; G16: 2,619 of 3,823)
+    assert sorted(built) == sorted(read)
+    assert len(read) < len(below)
+
+
+def test_a_memo_that_is_not_empty_is_refused():
+    # a second sum into a used memo would rank links by the first sum's
+    # entries and add them to its table
+    memo = {}
+    betti_hochster(path_ideal(random_graph(9, 0.4, 1), 3), memo=memo)
+    before = copy.deepcopy(memo)
+    with pytest.raises(InputError, match=r"^memo must be an empty dict to fill, got one with \d+ entries$"):
+        betti_hochster(path_ideal(random_tree(9, 2), 3), memo=memo)
+    assert memo == before
 
 
 @given(ambient_ideals(), st.sampled_from([GF2, GF3, QQ]))

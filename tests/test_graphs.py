@@ -53,6 +53,13 @@ def test_neighbors():
         P4.neighbors(7)
 
 
+@pytest.mark.parametrize("bad", [-1, 4, 7])
+def test_three_paths_within_names_its_vertex_out_of_range(bad):
+    assert P4.three_paths_within([0, 1, 2, 3]) == P4.three_paths()
+    with pytest.raises(InputError, match=rf"^vertex {bad} out of range for n=4$"):
+        P4.three_paths_within([0, 1, bad])
+
+
 def test_neighbors_caterpillar(caterpillar):
     # x2 (id 1) touches x1, x3 and the extra leaf x7
     assert caterpillar.neighbors(1) == {0, 2, 6}

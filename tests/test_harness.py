@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 from unittest import mock
@@ -443,6 +444,27 @@ def test_verify_graph_all_computes_each_betti_table_once(monkeypatch, c7_tail):
     calls.clear()
     verify_graph(c7_tail, "ses")
     assert calls == [(ideal, GF2)]
+
+
+@pytest.mark.parametrize("name", ["caterpillar_7", "c6_pendant_7", "G12"])
+def test_verify_graph_all_leaves_the_memo_as_the_sum_filled_it(monkeypatch, name):
+    # memo values are shared between entries (a collapse takes W - v's own
+    # series), so any check that wrote to one would change others
+    graph = graph_from_rng(12, 0.3, SplitMix64(1)) if name == "G12" else load_graph(fixture_path(f"{name}.txt"))
+    filled = []
+    real = harness.betti_hochster
+
+    def snapshot(ideal, field, *args, memo=None, **kwargs):
+        table = real(ideal, field, *args, memo=memo, **kwargs)
+        if memo is not None:
+            filled.append((memo, copy.deepcopy(memo)))
+        return table
+
+    monkeypatch.setattr(harness, "betti_hochster", snapshot)
+    verify_graph(graph, "all")
+    [(memo, copied)] = filled
+    assert memo == copied
+    assert len({id(series) for series in memo.values()}) < len(memo)
 
 
 def sums_of_verify_all(graph) -> list[MonomialIdeal]:

@@ -65,6 +65,16 @@ def test_ideal_normalizes_on_construction():
         ideal(2, (5,))
 
 
+@pytest.mark.parametrize(
+    "gens, bad",
+    [(((5,),), 5), (((0, 1), (-1, 2)), -1), (((0,), (1, 2, 9)), 9)],
+    ids=["one", "same-size", "mixed-size"],
+)
+def test_ideal_names_its_variable_out_of_range(gens, bad):
+    with pytest.raises(InputError, match=rf"^variable {bad} out of ambient range n=3$"):
+        ideal(3, *gens)
+
+
 def test_path_ideal_examples():
     assert path_ideal(P3, 3) == ideal(3, (0, 1, 2))
     assert path_ideal(P4, 3) == ideal(4, (0, 1, 2), (1, 2, 3))
