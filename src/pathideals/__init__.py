@@ -15,7 +15,6 @@ from .betti import (
     QQ,
     NEG_INF,
     betti_hochster,
-    regularity,
 )
 from .errors import CapacityError, InputError, NoBroomVertexError, PathIdealsError
 from .generators import random_graph, random_tree, random_unicyclic
@@ -32,12 +31,10 @@ from .graphs import (
 from .ideals import (
     MonomialIdeal,
     add_monomial,
-    add_vars,
     colon,
     edge_colon_closed_form,
     minimalize,
     path_ideal,
-    path_ideal_within,
     vertex_colon_closed_form,
 )
 from .matching import (
@@ -62,7 +59,6 @@ __all__ = [
     "PathIdealsError",
     "QQ",
     "add_monomial",
-    "add_vars",
     "betti_hochster",
     "check_nu3_broom_drop",
     "classify",
@@ -75,11 +71,9 @@ __all__ = [
     "parse_edge_list",
     "parse_graph",
     "path_ideal",
-    "path_ideal_within",
     "random_graph",
     "random_tree",
     "random_unicyclic",
-    "regularity",
     "to_edge_list",
     "vertex_colon_closed_form",
 ]

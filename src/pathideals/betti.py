@@ -186,7 +186,8 @@ def _boundary_row(face: int, ids: Mapping[int, int], char: int):
 
     An int bitset if char == 2 and a {column: +-1} dict otherwise. Rows in
     one ``_columns`` numbering of a complex's faces are its boundary matrix,
-    and any subcomplex's rows are a subset of them.
+    and any subcomplex's rows are a subset of them; ``_RowStore`` builds
+    each one the first time a ranked complex reads it.
     """
     rest = face
     if char == 2:
@@ -204,12 +205,6 @@ def _boundary_row(face: int, ids: Mapping[int, int], char: int):
             sign = -sign
             rest ^= low
     return row
-
-
-def _boundary_rows(faces: list[int], char: int) -> list:
-    """The ``_boundary_row`` of each nonempty face of a complex, columns numbered in the given order."""
-    ids = _columns(faces)
-    return [_boundary_row(face, ids, char) for face in faces]
 
 
 class _RowStore:
@@ -613,14 +608,7 @@ def restricted_table(
     return _table_of((w, series) for w, series in memo.items() if not w & ~mask)
 
 
-# -- regularity and the short-exact-sequence bound ---------------------------------
-
-
-def regularity(ideal: MonomialIdeal, field: FieldSpec = GF2, cap: int = DEFAULT_CAP):
-    """reg(R/I): max j - i over nonzero Betti entries; -inf for the unit ideal."""
-    if ideal.is_unit:
-        return NEG_INF
-    return betti_hochster(ideal, field, cap=cap).regularity()
+# -- the short-exact-sequence bound -----------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,8 @@ Monomial = frozenset[int]
 
 
 def minimalize(gens: Iterable[Iterable[int]]) -> frozenset[Monomial]:
-    """Unique minimal generating set: drop every support containing another.
-
-    Distinct supports of one size contain none of each other, so such a set
-    (a path ideal's) is returned as it is.
-    """
+    """Unique minimal generating set: drop every support containing another."""
     supports = sorted({frozenset(g) for g in gens}, key=len)
-    if not supports or len(supports[0]) == len(supports[-1]):
-        return frozenset(supports)
     keep: list[Monomial] = []
     for g in supports:
         if not any(map(g.issuperset, keep)):
@@ -48,13 +42,10 @@ class MonomialIdeal:
         if self.n < 0:
             raise InputError("ambient size must be nonnegative")
         gens = minimalize(self.gens)
-        variables = frozenset().union(*gens)
-        if variables and not (0 <= min(variables) and max(variables) < self.n):
-            # name the first variable out of range, generator by generator
-            for g in gens:
-                for v in g:
-                    if not (0 <= v < self.n):
-                        raise InputError(f"variable {v} out of ambient range n={self.n}")
+        for g in gens:
+            for v in g:
+                if not (0 <= v < self.n):
+                    raise InputError(f"variable {v} out of ambient range n={self.n}")
         object.__setattr__(self, "gens", gens)
 
     @property
@@ -75,12 +66,6 @@ def colon(ideal: MonomialIdeal, m: Iterable[int]) -> MonomialIdeal:
     return MonomialIdeal(ideal.n, frozenset(g - support for g in ideal.gens))
 
 
-def add_vars(ideal: MonomialIdeal, variables: Iterable[int]) -> MonomialIdeal:
-    """I + the ideal generated by the given variables."""
-    extra = frozenset(frozenset({v}) for v in variables)
-    return MonomialIdeal(ideal.n, ideal.gens | extra)
-
-
 def add_monomial(ideal: MonomialIdeal, m: Iterable[int]) -> MonomialIdeal:
     return MonomialIdeal(ideal.n, ideal.gens | {frozenset(m)})
 
@@ -91,18 +76,6 @@ def add_monomial(ideal: MonomialIdeal, m: Iterable[int]) -> MonomialIdeal:
 def path_ideal(graph: Graph, t: int) -> MonomialIdeal:
     """Ideal generated by the vertex supports of all paths on t vertices."""
     return MonomialIdeal(graph.n, frozenset(frozenset(p) for p in graph.t_paths(t)))
-
-
-def path_ideal_within(graph: Graph, vertices: Iterable[int], t: int) -> MonomialIdeal:
-    """Path ideal of an induced subgraph, kept in the ambient of the host graph."""
-    allowed = set(vertices)
-    if t == 2:
-        gens = [frozenset(e) for e in graph.edges_within(allowed)]
-    elif t == 3:
-        gens = [frozenset(p) for p in graph.three_paths_within(allowed)]
-    else:
-        raise InputError(f"t={t} unsupported; only t in {{2, 3}}")
-    return MonomialIdeal(graph.n, frozenset(gens))
 
 
 # -- closed forms for the two colon decompositions ------------------------------

@@ -9,8 +9,15 @@ These deliberately share no search logic with the package:
   ``rank_mod_p`` and ``BettiTable`` with the package's Hochster route.
 
 The one exception is the unpruned Hochster sum, which reuses the package's
-homology routine so that it differs from ``betti_hochster`` only in ranking
-every subcomplex: it skips no cone and applies no join or collapse rule.
+column numbering ``_columns``, its per-face ``_boundary_row`` and its
+homology routine ``_homology_dims_from_faces``, so that it differs from
+``betti_hochster`` only in ranking every subcomplex: it skips no cone and
+applies no join or collapse rule.
+
+Three small helpers that the package does not export are built on its own
+code and are conveniences, not references: ``add_vars`` and
+``path_ideal_within`` make ideals from ``MonomialIdeal`` and
+``Graph.three_paths_within``, and ``regularity`` reads ``betti_hochster``.
 
 The reduced Euler characteristics of every induced subcomplex and the
 K-polynomial, both counted from the generators alone, referee the Hochster
@@ -30,16 +37,43 @@ import numpy as np
 
 from pathideals.betti import (
     GF2,
+    NEG_INF,
     BettiTable,
     FieldSpec,
-    _boundary_rows,
+    _boundary_row,
+    _columns,
     _homology_dims_from_faces,
+    betti_hochster,
     rank_exact,
     rank_mod_p,
 )
 from pathideals.errors import InputError
 from pathideals.graphs import Graph, Path3
 from pathideals.ideals import MonomialIdeal
+
+
+# -- ideals and regularity through the package --------------------------------------
+
+
+def add_vars(ideal: MonomialIdeal, variables: Iterable[int]) -> MonomialIdeal:
+    """I + the ideal generated by the given variables."""
+    return MonomialIdeal(ideal.n, ideal.gens | {frozenset({v}) for v in variables})
+
+
+def path_ideal_within(graph: Graph, vertices: Iterable[int], t: int) -> MonomialIdeal:
+    """Path ideal of an induced subgraph, kept in the ambient of the host graph; t = 3 only."""
+    assert t == 3, f"t={t} unsupported; only t = 3"
+    return MonomialIdeal(graph.n, frozenset(frozenset(p) for p in graph.three_paths_within(vertices)))
+
+
+def regularity(ideal: MonomialIdeal, field: FieldSpec = GF2) -> float:
+    """reg(R/I) from ``betti_hochster``; -inf for the unit ideal."""
+    if ideal.is_unit:
+        return NEG_INF
+    return betti_hochster(ideal, field).regularity()
+
+
+# -- 3-paths and matchings ----------------------------------------------------------
 
 
 def enumerate_3paths_brute(graph: Graph) -> list[tuple[int, int, int]]:
@@ -165,6 +199,12 @@ def _nonempty_submasks(mask: int):
     while sub:
         yield sub
         sub = (sub - 1) & mask
+
+
+def _boundary_rows(faces: list[int], char: int) -> list:
+    """The ``_boundary_row`` of each nonempty face of a complex, columns numbered in the given order."""
+    ids = _columns(faces)
+    return [_boundary_row(face, ids, char) for face in faces]
 
 
 def reduced_homology_dims(

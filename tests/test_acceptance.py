@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from pathideals.betti import GF2, QQ, betti_hochster, regularity
+from pathideals.betti import GF2, QQ, betti_hochster
 from pathideals.generators import random_graph
 from pathideals.graphs import Graph, load_graph
 from pathideals.harness import BatchSpec, reports_to_jsonl, run_batch
@@ -18,7 +18,7 @@ from pathideals.ideals import path_ideal
 from pathideals.matching import nu3
 
 from conftest import fixture_path
-from oracles import betti_koszul_oracle, is_induced_3path_matching, nu3_brute
+from oracles import betti_koszul_oracle, is_induced_3path_matching, nu3_brute, regularity
 
 FIXTURES = {
     "caterpillar_7": (4, 2),

@@ -18,7 +18,6 @@ from pathideals.betti import (
     rank_exact,
     rank_gf2_rows,
     rank_mod_p,
-    regularity,
 )
 from pathideals.errors import CapacityError, InputError
 from pathideals.generators import (
@@ -35,6 +34,7 @@ from oracles import (
     rank_fraction,
     reduced_euler_characteristics,
     reduced_homology_dims,
+    regularity,
 )
 
 P4 = Graph(4, ((0, 1), (1, 2), (2, 3)))

@@ -26,10 +26,10 @@ from pathideals.harness import (
     run_batch,
     verify_graph,
 )
-from pathideals.ideals import MonomialIdeal, add_monomial, add_vars, colon, path_ideal, path_ideal_within
+from pathideals.ideals import MonomialIdeal, add_monomial, colon, path_ideal
 
 from conftest import fixture_path
-from oracles import betti_koszul_oracle
+from oracles import add_vars, betti_koszul_oracle, path_ideal_within
 
 P5 = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
 # The edges of c6_pendant_7 at which the ses check ranks I3(G) + uv: there

@@ -7,14 +7,14 @@ from pathideals.graphs import Graph
 from pathideals.ideals import (
     MonomialIdeal,
     add_monomial,
-    add_vars,
     colon,
     edge_colon_closed_form,
     minimalize,
     path_ideal,
-    path_ideal_within,
     vertex_colon_closed_form,
 )
+
+from oracles import add_vars, path_ideal_within
 
 P3 = Graph(3, ((0, 1), (1, 2)))
 P4 = Graph(4, ((0, 1), (1, 2), (2, 3)))
