@@ -17,14 +17,15 @@ generator, so its complex is the boundary of a simplex, a sphere whose
 series is written down. The faces inside the other remaining subsets form
 a subcomplex (empty for a path); they are numbered once per dimension, in
 sorted order, as the columns of the augmented boundary rows. Each such
-subset selects the rows of its faces and is ranked, and a face's row is
-built on first use, so faces no ranked complex reads get none; the others
-are multiplied out of a memo. A fourth rule picks what is ranked:
-when some W - v is nonempty and Delta_{W-v} is acyclic (its series is not in
-the memo), the link of v in Delta_W is ranked instead, its homology shifted
-up by one degree (Mayer-Vietoris over the star of v, a cone). The link has
-about a third of Delta_W's faces on dense graphs, and is read from an index
-of the faces holding v, built once per sum for each such v.
+subset ranks a link of Delta_W, and a face's row is built on first use, so
+faces no ranked complex reads get none; the others are multiplied out of a
+memo. A fourth rule picks the link: when some W - v is nonempty and
+Delta_{W-v} is acyclic (its series is not in the memo), the link of v in
+Delta_W is ranked, its homology shifted up by one degree (Mayer-Vietoris
+over the star of v, a cone); otherwise Delta_W itself, the link of the
+empty face. The link of v has about a third of Delta_W's faces on dense
+graphs. Both kinds are read alike, from an index built once per sum for
+each face S linked (empty or {v}): the faces holding S, less S.
 
 The memo of nonzero series is the sum's own record of its terms. Handed to
 ``restricted_table``, it gives the table of the ideal generated by the
@@ -186,8 +187,8 @@ def _boundary_row(face: int, ids: Mapping[int, int], char: int):
 
     An int bitset if char == 2 and a {column: +-1} dict otherwise. Rows in
     one ``_columns`` numbering of a complex's faces are its boundary matrix,
-    and any subcomplex's rows are a subset of them; ``_RowStore`` builds
-    each one the first time a ranked complex reads it.
+    and any subcomplex's rows are a subset of them; ``betti_hochster``
+    builds each one the first time a ranked complex reads it.
     """
     rest = face
     if char == 2:
@@ -205,34 +206,6 @@ def _boundary_row(face: int, ids: Mapping[int, int], char: int):
             sign = -sign
             rest ^= low
     return row
-
-
-class _RowStore:
-    """Boundary rows of a complex's faces by position in ``faces``, each built on first use.
-
-    The columns are numbered up front, in the order of ``faces``, not as the
-    rows are built: any numbering gives the same ranks, but numbering the
-    columns in the order they are first met made the GF(2) reduction of
-    G(17, 0.3) take 17% more XOR steps than the sorted order. Rows sit in a
-    list, None until built, so reading a built row is one list lookup.
-    """
-
-    __slots__ = ("faces", "ids", "char", "rows")
-
-    def __init__(self, faces: list[int], char: int) -> None:
-        self.faces, self.ids, self.char = faces, _columns(faces), char
-        self.rows: list = [None] * len(faces)
-
-    def take(self, at: list[int]) -> list:
-        """The rows of the faces at the positions ``at``, building the missing ones."""
-        got = list(map(self.rows.__getitem__, at))
-        # a row is never 0 or empty, so only a missing one is falsy
-        if not all(got):
-            for j, row in enumerate(got):
-                if row is None:
-                    k = at[j]
-                    got[j] = self.rows[k] = _boundary_row(self.faces[k], self.ids, self.char)
-        return got
 
 
 def _homology_dims_from_faces(rows: list, char: int) -> dict[int, int]:
@@ -480,8 +453,8 @@ def betti_hochster(
       none when every such W is a generator's support, as on a path;
     - evaluate: in mask order, so every proper subset of W comes first, each
       W's Poincare series is written down, ranked or multiplied out of the
-      memo, which keeps only nonzero series. A ranked Delta_W selects its
-      faces by one vectorized test on the face array, and a face's boundary
+      memo, which keeps only nonzero series. A ranked complex selects its
+      faces by one vectorized test on a link index, and a face's boundary
       row is built on first use and kept for the rest of the sum. A collapse
       takes the series of W - v itself, not a copy.
 
@@ -491,9 +464,10 @@ def betti_hochster(
     union of Delta_{W-v} and the star of v, a cone, which meet in lk(v), so
     reduced Mayer-Vietoris gives H~_d(Delta_W) = H~_{d-1}(lk v) over every
     field. W - v must be nonempty: Delta_{} = {empty set} has H~_{-1} = 1.
-    The link is read from an index built once per sum for each such v: the
-    faces F - v for every face F != {v} holding v, with the position of each
-    in the face array. A ranked link keeps the entries inside W.
+    With no such v, Delta_W is ranked as the link of the empty face. Every
+    ranked complex is read from the index of its face S (empty or {v}),
+    built once per sum for each S: the faces F - S of the face array, for
+    every face F != S holding S, kept where they lie inside W.
     Every vertex of a ranked W with two or more vertices is a vertex of
     Delta_W, since a generator {v} inside W would make v dominated.
 
@@ -554,10 +528,17 @@ def betti_hochster(
         halves = below.reshape(-1, 2, 1 << b)
         halves[:, 0] |= halves[:, 1]
     faces = np.flatnonzero(is_face & below)[1:]
-    # the boundary row of faces[i], built when a ranked complex first reads it
-    rows = _RowStore(faces.tolist(), char)
-    # links[v]: F - v for each face F != {v} holding v, and where it sits in faces
-    links: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    del is_face, below
+    face_list = faces.tolist()
+    # columns numbered up front in sorted order, not as rows are first built:
+    # any numbering gives the same ranks, but first-met numbering made the
+    # GF(2) reduction of G(17, 0.3) take 17% more XOR steps
+    ids = _columns(face_list)
+    # the boundary row of faces[k], None until a ranked complex first reads it
+    rows: list = [None] * len(face_list)
+    # links[v]: lk(v) as the faces F - v for each face F != {v} holding v, and
+    # the positions of those faces in faces; Delta_W is the link of the empty face
+    links = {0: (faces, np.arange(len(faces)))}
     bits = [1 << p for p in range(len(used))]
 
     for w, parts in plan:
@@ -565,20 +546,23 @@ def betti_hochster(
             # one sphere of dimension |W| - 2, or {empty set} when |W| = 1
             series = {w.bit_count() - 1: 1}
         elif parts is None:
-            # the lowest v with Delta_{W-v} acyclic: W - v nonempty, no series in the memo
+            # the lowest v with Delta_{W-v} acyclic (W - v nonempty, no series in
+            # the memo), else 0: rank lk(v), whose faces are faces of Delta_W
             v = next((b for b in bits if w & b and b != w and w ^ b not in memo), 0)
-            if v:
-                # rank lk(v) = {F - v : v in F in Delta_W, F != {v}}, whose faces
-                # are faces of Delta_W too, so they sit in the face array
-                if v not in links:
-                    lk = faces[(faces & v) != 0]
-                    lk = lk[lk != v] ^ v
-                    links[v] = lk, np.searchsorted(faces, lk)
-                lk, at = links[v]
-                idx = at[(lk & ~w) == 0]
-            else:
-                idx = np.flatnonzero((faces & ~w) == 0)
-            dims = _homology_dims_from_faces(rows.take(idx.tolist()), char)
+            if v not in links:
+                lk = faces[(faces & v) != 0]
+                lk = lk[lk != v] ^ v
+                links[v] = lk, np.searchsorted(faces, lk)
+            lk, at = links[v]
+            at = at[(lk & ~w) == 0].tolist()
+            got = list(map(rows.__getitem__, at))
+            # a row is never 0 or empty, so only a missing one is falsy
+            if not all(got):
+                for j, row in enumerate(got):
+                    if row is None:
+                        k = at[j]
+                        got[j] = rows[k] = _boundary_row(face_list[k], ids, char)
+            dims = _homology_dims_from_faces(got, char)
             shift = 2 if v else 1
             series = {d + shift: h for d, h in dims.items()}
         elif len(parts) == 1:

@@ -21,8 +21,13 @@ def minimalize(gens: Iterable[Iterable[int]]) -> frozenset[Monomial]:
     """Unique minimal generating set: drop every support containing another."""
     supports = sorted({frozenset(g) for g in gens}, key=len)
     keep: list[Monomial] = []
+    # keep[:smaller] are the kept supports smaller than g: two distinct
+    # supports of one size never contain each other
+    smaller = 0
     for g in supports:
-        if not any(map(g.issuperset, keep)):
+        if keep and len(keep[-1]) < len(g):
+            smaller = len(keep)
+        if not any(map(g.issuperset, keep[:smaller])):
             keep.append(g)
     return frozenset(keep)
 

@@ -613,6 +613,62 @@ def test_link_rule_ranks_smaller_complexes_on_g16():
     assert table.regularity() == 4 == 2 * nu3(graph)[0]
 
 
+@st.composite
+def link_rule_ideals(draw):
+    """I3 of a random graph on 6-10 vertices or its colon by a vertex, or an ambient ideal."""
+    if draw(st.booleans()):
+        return draw(ambient_ideals())
+    g = random_graph(draw(st.integers(6, 10)), draw(st.sampled_from([0.3, 0.4])), draw(st.integers(0, 10**9)))
+    i = path_ideal(g, 3)
+    return colon(i, (draw(st.integers(0, g.n - 1)),)) if draw(st.booleans()) else i
+
+
+def test_each_ranked_link_and_each_survivor_series_match_the_oracle():
+    # every ranked complex is lk(S) in Delta_W for a face S, empty or {v}:
+    # Delta_W itself, or Delta(I : x_v) on W - v; its series is shifted up by |S| + 1
+    selections = set()
+
+    @given(link_rule_ideals(), st.sampled_from([GF2, GF3, QQ]))
+    @settings(max_examples=40)
+    @example(RP2_AS_A_LINK, GF2)
+    @example(RP2_AS_A_LINK, QQ)
+    @example(ideal(9, *RP2_NONFACES, (6,), (7, 8)), GF3)
+    def check(i, field):
+        if i.is_unit or i.is_zero:
+            return
+        dims, original = [], betti._homology_dims_from_faces
+
+        def recorded(rows, char):
+            dims.append(original(rows, char))
+            return dims[-1]
+
+        memo = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(betti, "_homology_dims_from_faces", recorded)
+            _, plan, ranked, _ = recorded_sum(i, field, memo)
+        used, gens = sorted(set().union(*i.gens)), generator_supports(i)
+        faces = [f for f in range(1, 1 << len(used)) if not any(g & ~f == 0 for g in gens)]
+        expected = []
+        for w, parts in plan:
+            verts = [used[p] for p in range(len(used)) if w >> p & 1]
+            series = reduced_homology_dims(i, verts, field)
+            assert memo.get(w) == ({k: h for k, h in enumerate(series) if h} or None)
+            if parts is None and w not in gens:
+                # memo entries below W are final when W is reached, so they pick v as then
+                s = next((1 << p for p in range(len(used)) if w >> p & 1 and w != 1 << p and w ^ 1 << p not in memo), 0)
+                if s:
+                    v = used[s.bit_length() - 1]
+                    series = reduced_homology_dims(colon(i, (v,)), set(verts) - {v}, field)
+                size = sum(f & s == s and f != s and f & ~w == 0 for f in faces)
+                expected.append((size, {d - 1: h for d, h in enumerate(series) if h}))
+                selections.add("lk(v)" if s else "Delta_W")
+        assert list(zip(ranked, dims)) == expected
+
+    check()
+    # the draws rank both kinds of complex
+    assert selections == {"Delta_W", "lk(v)"}
+
+
 @given(graph_keys)
 @settings(max_examples=25)
 def test_field_sweep_small_graphs(key):

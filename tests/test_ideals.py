@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pathideals.errors import InputError
 from pathideals.generators import random_graph
@@ -47,6 +47,24 @@ def test_minimalize_idempotent_and_antichain(gens):
     once = minimalize(gens)
     assert minimalize(once) == once
     assert all(not (a < b) for a in once for b in once)
+
+
+@given(
+    st.one_of(
+        # mixed sizes, the empty support among them, with repeats
+        st.lists(supports, max_size=8),
+        # every support of one size
+        st.integers(0, 4).flatmap(
+            lambda k: st.lists(st.sets(st.integers(0, 6), min_size=k, max_size=k).map(frozenset), max_size=8)
+        ),
+    )
+)
+@example([(0, 1), (1, 0), (2,), (0, 1, 2)])
+@example([(), (3,), (0, 1)])
+@example([(0, 1, 2), (1, 2, 3), (0, 1, 2)])
+def test_minimalize_keeps_exactly_the_supports_containing_no_other(gens):
+    sets = [frozenset(g) for g in gens]
+    assert minimalize(gens) == {g for g in sets if not any(h < g for h in sets)}
 
 
 @given(gen_sets, st.randoms())
