@@ -14,13 +14,12 @@ import os
 import time
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from multiprocessing import Pool
 from typing import Callable, Iterable
 
 from .betti import (
     DEFAULT_CAP, GF2, NEG_INF, BettiTable, FieldSpec, SesBoundReport, betti_hochster, restricted_table,
 )
-from .errors import InputError, PathIdealsError
+from .errors import CapacityError, InputError, PathIdealsError
 from .generators import SplitMix64, graph_from_rng, tree_from_rng, unicyclic_from_rng
 from .graphs import Graph, classify, graph_to_json_obj
 from .ideals import (
@@ -450,22 +449,93 @@ def run_instance(spec: BatchSpec, k: int) -> VerificationReport:
     return report
 
 
-def _pool_worker(args: tuple[BatchSpec, int]) -> VerificationReport:
-    return run_instance(*args)
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _claim_instances(spec: BatchSpec, counter, conn) -> None:
+    """A batch worker: run the next unclaimed instance until none is left, then report once.
+
+    Sends every (index, report) pair it made in one message, or the first
+    exception an instance raised.
+    """
+    done = []
+    try:
+        while True:
+            with counter.get_lock():
+                k = counter.value
+                counter.value = k + 1
+            if k >= spec.count:
+                break
+            done.append((k, run_instance(spec, k)))
+    except Exception as exc:
+        conn.send(exc)
+    else:
+        conn.send(done)
+
+
+def _run_workers(spec: BatchSpec, workers: int) -> list[VerificationReport]:
+    """The batch on ``workers`` forked processes that claim instances from a shared counter.
+
+    A worker that exits without reporting ends the batch with a
+    ``CapacityError`` naming its exit code (an out-of-memory kill, say); an
+    exception a worker sends is raised here. No worker outlives the call.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    counter = ctx.Value("q", 0)
+    pending, procs = {}, []
+    try:
+        for _ in range(workers):
+            receive, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_claim_instances, args=(spec, counter, send), daemon=True)
+            proc.start()
+            procs.append(proc)
+            send.close()
+            pending[receive] = proc
+        reports: list[VerificationReport | None] = [None] * spec.count
+        while pending:
+            for receive in wait(list(pending)):
+                proc = pending.pop(receive)
+                try:
+                    got = receive.recv()
+                except EOFError:
+                    proc.join()
+                    raise CapacityError(
+                        f"a batch worker died with exit code {proc.exitcode} before reporting"
+                    ) from None
+                finally:
+                    receive.close()
+                if isinstance(got, BaseException):
+                    raise got
+                for k, report in got:
+                    reports[k] = report
+        for proc in procs:
+            proc.join()
+        return reports
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
 
 
 def run_batch(spec: BatchSpec, jobs: int = 1) -> list[VerificationReport]:
     """All instances of a batch, ordered by index regardless of parallelism.
 
-    Starts at most one worker per instance and per CPU, and none for a
-    single worker.
+    Runs min(jobs, instances, usable CPUs) workers, and none for a single
+    worker. Each worker is one forked process that claims instance indexes
+    one at a time from a shared counter and sends all of its reports back
+    in one message when the batch is exhausted; see ``_run_workers``.
     """
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
-    tasks = [(spec, k) for k in range(spec.count)]
-    workers = min(jobs, spec.count, os.cpu_count() or 1)
+    workers = min(jobs, spec.count, _usable_cpus())
     if workers <= 1:
-        return [run_instance(*t) for t in tasks]
-    with Pool(workers) as pool:
-        return pool.map(_pool_worker, tasks)
-
+        return [run_instance(spec, k) for k in range(spec.count)]
+    return _run_workers(spec, workers)

@@ -1,6 +1,9 @@
 import copy
 import hashlib
 import json
+import multiprocessing
+import os
+import signal
 from unittest import mock
 
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pathideals.betti import GF2, GF3, QQ, BettiTable, betti_hochster, restricted_table
 from pathideals.cli import main
-from pathideals.errors import InputError
+from pathideals.errors import CapacityError, InputError
 from pathideals.generators import SplitMix64, graph_from_rng, tree_from_rng, unicyclic_from_rng
 from pathideals.graphs import Graph, classify, graph_from_json_obj, load_graph
 from pathideals import harness
@@ -351,27 +354,15 @@ def test_run_batch_parallel_reports_are_byte_identical():
 
 
 def test_run_batch_starts_no_more_workers_than_instances(monkeypatch):
-    from pathideals import harness
-
     sizes = []
 
-    class InProcessPool:
-        """Records its size and maps in this process, so no worker starts."""
+    def in_process(spec, workers):
+        """Records the worker count and runs the batch in this process, so no worker starts."""
+        sizes.append(workers)
+        return [harness.run_instance(spec, k) for k in range(spec.count)]
 
-        def __init__(self, size):
-            sizes.append(size)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, tasks):
-            return [func(t) for t in tasks]
-
-    monkeypatch.setattr(harness, "Pool", InProcessPool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(harness, "_run_workers", in_process)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 8)
     spec = BatchSpec(family="unicyclic", n_lo=5, n_hi=6, count=3, seed=4)
     pooled = run_batch(spec, jobs=8)
     assert sizes == [3]
@@ -379,9 +370,142 @@ def test_run_batch_starts_no_more_workers_than_instances(monkeypatch):
     single = BatchSpec(family="tree", n_lo=5, n_hi=5, count=1, seed=4)
     assert reports_to_jsonl(run_batch(single, jobs=8)) == reports_to_jsonl(run_batch(single))
     assert sizes == [3]
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     assert reports_to_jsonl(run_batch(spec, jobs=8)) == reports_to_jsonl(pooled)
     assert sizes == [3, 2]
+
+
+def test_usable_cpus_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert harness._usable_cpus() == 2
+    # where the OS has no affinity mask, every CPU counts
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert harness._usable_cpus() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert harness._usable_cpus() == 1
+
+
+@pytest.fixture
+def hang_guard():
+    """Fails a test whose batch hangs within seconds, not at the CI job's timeout."""
+
+    def hung(signum, frame):
+        raise TimeoutError("the batch hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def instance_3_does(monkeypatch, act):
+    """Makes ``act`` run in place of instance 3 in every worker, on at least two workers."""
+    real = harness.run_instance
+
+    def patched(spec, k):
+        return act() if k == 3 else real(spec, k)
+
+    monkeypatch.setattr(harness, "run_instance", patched)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+
+
+def exit_9():
+    os._exit(9)
+
+
+def test_a_dead_worker_ends_the_batch_with_a_capacity_error(monkeypatch, hang_guard):
+    instance_3_does(monkeypatch, exit_9)
+    with pytest.raises(CapacityError, match=r"exit code 9\b"):
+        run_batch(BatchSpec("tree", 8, 11, 6, 1), jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_exits_3_when_a_batch_worker_dies(monkeypatch, capsys, hang_guard):
+    instance_3_does(monkeypatch, exit_9)
+    argv = ["verify", "--family", "tree", "--n", "8..11", "--count", "6", "--seed", "1", "--jobs", "2"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("capacity error: ") and "exit code 9" in err
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_holding_the_counter_lock_strands_no_other(monkeypatch, hang_guard):
+    def die_holding_the_lock(spec, counter, conn):
+        counter.get_lock().acquire()
+        os._exit(9)
+
+    # the first worker to take the lock dies with it, and the other waits on it for good
+    monkeypatch.setattr(harness, "_claim_instances", die_holding_the_lock)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    with pytest.raises(CapacityError, match=r"exit code 9\b"):
+        run_batch(BatchSpec("tree", 8, 11, 6, 1), jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_exception_in_a_worker_reaches_the_caller(monkeypatch, hang_guard):
+    def fail():
+        raise RuntimeError("instance 3 failed")
+
+    instance_3_does(monkeypatch, fail)
+    spec = BatchSpec("tree", 8, 11, 6, 1)
+    with pytest.raises(RuntimeError, match="instance 3 failed"):
+        run_batch(spec, jobs=2)
+    assert multiprocessing.active_children() == []
+    monkeypatch.undo()
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    reports = run_batch(spec, jobs=2)
+    assert [r.index for r in reports] == list(range(6))
+    assert all(r.passed and r.elapsed is not None for r in reports)
+    assert multiprocessing.active_children() == []
+
+
+def test_workers_claim_every_instance_exactly_once(monkeypatch, tmp_path, hang_guard):
+    # instant instances on more workers than cores, so claims contend for the
+    # counter's lock; a lost update would run some index twice
+    claims = tmp_path / "claims"
+
+    def record(spec, k):
+        with open(claims, "a") as fh:
+            fh.write(f"{k}\n")
+        return k
+
+    monkeypatch.setattr(harness, "run_instance", record)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 6)
+    assert run_batch(BatchSpec("tree", 4, 4, 3000, 1), jobs=6) == list(range(3000))
+    assert sorted(map(int, claims.read_text().split())) == list(range(3000))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("which", ["all", "colon", "ses", "monotone"])
+@pytest.mark.parametrize("family", harness.FAMILIES)
+def test_batch_output_bytes_do_not_depend_on_jobs(monkeypatch, capsys, family, which):
+    # three usable CPUs, so that --jobs 3 runs three workers on any host
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    for count in ("5", "2"):
+        argv = ["verify", "--family", family, "--which", which, "--n", "8..11", "--count", count, "--seed", "2"]
+        runs = []
+        for jobs in ("1", "2", "3"):
+            code = main([*argv, "--jobs", jobs])
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0][1].count("\n") == int(count)
+        assert runs[1] == runs[0] and runs[2] == runs[0], (count, [r[0] for r in runs])
+    assert multiprocessing.active_children() == []
+
+
+def test_search_output_files_do_not_depend_on_jobs(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    argv = ["search", "--family", "random", "--n", "8..11", "--count", "7", "--seed", "3"]
+    runs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        code = main([*argv, "--jobs", jobs, "--out", str(out)])
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((code, *capsys.readouterr(), files))
+    assert "histogram.csv" in runs[0][3] and len(runs[0][3]) > 3
+    assert runs[1] == runs[0]
 
 
 def test_report_serialization_shapes():
