@@ -424,6 +424,21 @@ def _table_of(series_by_mask: Iterable[tuple[int, Mapping[int, int]]]) -> BettiT
     return BettiTable.from_dict(table)
 
 
+def check_cap(n: int, used: int, cap: int) -> None:
+    """Refuse an ideal in ``n`` variables whose generators use ``used`` of them, more than ``cap``.
+
+    The one cap test and message: ``betti_hochster`` applies it to its ideal,
+    and callers that count I3(G)'s variables from the graph apply it before
+    listing a single 3-path.
+    """
+    if used > cap:
+        # the ambient n is at least used, and is what the user knows
+        raise CapacityError(
+            f"ambient n={n} exceeds the enumeration cap {cap}; "
+            f"raise it with --cap or the {CAP_ENV_VAR} environment variable"
+        )
+
+
 def betti_hochster(
     ideal: MonomialIdeal,
     field: FieldSpec = GF2,
@@ -458,6 +473,9 @@ def betti_hochster(
       row is built on first use and kept for the rest of the sum. A collapse
       takes the series of W - v itself, not a copy.
 
+    Every face and subset is named by its mask alone: the link index holds
+    masks, the rows are keyed by the face's mask and the memo by W's.
+
     A ranked W with a vertex v such that W - v is nonempty and has no series
     in the memo (Delta_{W-v} is acyclic: a cone or zero homology) ranks the
     link of v instead of Delta_W, taking the lowest such v. Delta_W is the
@@ -472,8 +490,9 @@ def betti_hochster(
     Delta_W, since a generator {v} inside W would make v dominated.
 
     ``cap`` bounds the vertices the generators use, which size the 2^n
-    arrays; variables in no generator cost nothing. A cap so high that those
-    arrays cannot be allocated is a ``CapacityError`` too.
+    arrays; variables in no generator cost nothing. The test is
+    ``check_cap``'s, after the unit, memo and zero-ideal tests. A cap so high
+    that those arrays cannot be allocated is a ``CapacityError`` too.
 
     ``memo``, an empty dict if given, is filled in place with the evaluation
     memo: each W whose Delta_W has homology, as a mask over the used vertices
@@ -494,12 +513,7 @@ def betti_hochster(
     char = field.characteristic
 
     used = _used_vertices(ideal)
-    if len(used) > cap:
-        # the ambient n is at least len(used), and is what the user knows
-        raise CapacityError(
-            f"ambient n={ideal.n} exceeds the enumeration cap {cap}; "
-            f"raise it with --cap or the {CAP_ENV_VAR} environment variable"
-        )
+    check_cap(ideal.n, len(used), cap)
     pos = {v: k for k, v in enumerate(used)}
     gmasks = [sum(1 << pos[v] for v in g) for g in ideal.gens]
     # covered[W]: the union of the generators inside W
@@ -529,16 +543,15 @@ def betti_hochster(
         halves[:, 0] |= halves[:, 1]
     faces = np.flatnonzero(is_face & below)[1:]
     del is_face, below
-    face_list = faces.tolist()
     # columns numbered up front in sorted order, not as rows are first built:
     # any numbering gives the same ranks, but first-met numbering made the
     # GF(2) reduction of G(17, 0.3) take 17% more XOR steps
-    ids = _columns(face_list)
-    # the boundary row of faces[k], None until a ranked complex first reads it
-    rows: list = [None] * len(face_list)
-    # links[v]: lk(v) as the faces F - v for each face F != {v} holding v, and
-    # the positions of those faces in faces; Delta_W is the link of the empty face
-    links = {0: (faces, np.arange(len(faces)))}
+    ids = _columns(faces.tolist())
+    # the boundary row of each face F, added when a ranked complex first reads F
+    rows: dict = {}
+    # links[v]: lk(v) as the faces F - v for each face F != {v} holding v;
+    # Delta_W is the link of the empty face
+    links = {0: faces}
     bits = [1 << p for p in range(len(used))]
 
     for w, parts in plan:
@@ -551,17 +564,15 @@ def betti_hochster(
             v = next((b for b in bits if w & b and b != w and w ^ b not in memo), 0)
             if v not in links:
                 lk = faces[(faces & v) != 0]
-                lk = lk[lk != v] ^ v
-                links[v] = lk, np.searchsorted(faces, lk)
-            lk, at = links[v]
-            at = at[(lk & ~w) == 0].tolist()
-            got = list(map(rows.__getitem__, at))
+                links[v] = lk[lk != v] ^ v
+            lk = links[v]
+            inside = lk[(lk & ~w) == 0].tolist()
+            got = list(map(rows.get, inside))
             # a row is never 0 or empty, so only a missing one is falsy
             if not all(got):
                 for j, row in enumerate(got):
                     if row is None:
-                        k = at[j]
-                        got[j] = rows[k] = _boundary_row(face_list[k], ids, char)
+                        got[j] = rows[inside[j]] = _boundary_row(inside[j], ids, char)
             dims = _homology_dims_from_faces(got, char)
             shift = 2 if v else 1
             series = {d + shift: h for d, h in dims.items()}

@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 from functools import cache
 
-from .betti import CAP_ENV_VAR, DEFAULT_CAP, FieldSpec, betti_hochster
+from .betti import CAP_ENV_VAR, DEFAULT_CAP, FieldSpec, betti_hochster, check_cap
 from .errors import CapacityError, InputError
 from .graphs import Graph, graph_from_json_obj, load_graph, to_edge_list
 from .harness import (
@@ -78,6 +78,8 @@ def cmd_paths(args) -> int:
 def cmd_reg(args) -> int:
     graph = load_graph(args.input)
     field_ = FieldSpec.parse(args.field)
+    # refuse before a 3-path is listed: a star on n vertices has about n^2/2
+    check_cap(graph.n, len(graph.three_path_vertices()), args.cap)
     table = betti_hochster(path_ideal(graph, 3), field_, cap=args.cap)
     if args.format == "json":
         print(json.dumps(table.to_json_obj(field_), sort_keys=True))
@@ -180,9 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process.
 
     Reuse is safe because ``parse_args`` returns a fresh namespace on every
-    call and every default is immutable. Each subcommand's ``cmd_*``
-    function is bound as a default when the parser is built, so replacing
-    one afterwards has no effect until ``build_parser.cache_clear()``.
+    call and every default is immutable. The parser holds no handler:
+    ``main`` looks up the parsed subcommand's ``cmd_*`` function by name on
+    every call, so a handler replaced after the first call still runs.
     """
     parser = argparse.ArgumentParser(
         prog="pathideals",
@@ -203,18 +205,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_paths.add_argument("input", help="graph file (edge list or JSON)")
     p_paths.add_argument("--t", type=int, default=3, choices=(2, 3))
     p_paths.add_argument("--format", default="text", choices=("text", "json"))
-    p_paths.set_defaults(func=cmd_paths)
 
     p_reg = sub.add_parser("reg", help="regularity and Betti table of R/I3")
     p_reg.add_argument("input")
     p_reg.add_argument("--format", default="text", choices=("text", "json", "csv"))
     add_common(p_reg)
-    p_reg.set_defaults(func=cmd_reg)
 
     p_nu3 = sub.add_parser("nu3", help="3-path induced matching number with certificate")
     p_nu3.add_argument("input")
     p_nu3.add_argument("--format", default="text", choices=("text", "json"))
-    p_nu3.set_defaults(func=cmd_nu3)
 
     p_verify = sub.add_parser("verify", help="run the bound/identity checks")
     p_verify.add_argument("input", nargs="?", default=None, help="graph file; omit when using --family")
@@ -227,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", default="jsonl", choices=("jsonl", "csv"))
     p_verify.add_argument("--output", default=None, help="write the report here instead of stdout")
     add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_search = sub.add_parser("search", help="defect histogram over a random family")
     p_search.add_argument("--family", required=True, choices=FAMILIES)
@@ -237,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--jobs", type=int, default=1)
     p_search.add_argument("--out", default="search-out", help="output directory")
     add_common(p_search)
-    p_search.set_defaults(func=cmd_search)
 
     return parser
 
@@ -253,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise InputError(f"cap must be nonnegative, got {args.cap}")
         if hasattr(args, "jobs") and args.jobs < 1:
             raise InputError(f"jobs must be at least 1, got {args.jobs}")
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

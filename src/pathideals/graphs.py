@@ -118,6 +118,16 @@ class Graph:
         out.sort()
         return out
 
+    def three_path_vertices(self) -> frozenset[int]:
+        """The vertices on some path on 3 vertices, without listing one, in O(n + m).
+
+        A vertex of degree >= 2 is the middle of a 3-path and each of its
+        neighbours an end; a vertex of degree <= 1 whose neighbour also has
+        degree <= 1 lies on none. These are the variables of I3(G).
+        """
+        middles = [v for v in range(self.n) if len(self.adj[v]) >= 2]
+        return frozenset(middles).union(*(self.adj[v] for v in middles))
+
     def t_paths(self, t: int) -> list[tuple[int, ...]]:
         """Paths on t vertices for t in {2, 3}; t=2 is the edge list."""
         if t == 2:

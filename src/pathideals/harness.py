@@ -17,7 +17,8 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from .betti import (
-    DEFAULT_CAP, GF2, NEG_INF, BettiTable, FieldSpec, SesBoundReport, betti_hochster, restricted_table,
+    DEFAULT_CAP, GF2, NEG_INF, BettiTable, FieldSpec, SesBoundReport, betti_hochster, check_cap,
+    restricted_table,
 )
 from .errors import CapacityError, InputError, PathIdealsError
 from .generators import SplitMix64, graph_from_rng, tree_from_rng, unicyclic_from_rng
@@ -113,7 +114,10 @@ class GraphContext:
     That sub-sum depends on S only through the vertices some 3-path uses
     (``used``), so S is keyed by its part inside them, and I3(G)'s table by
     ``used`` itself. Both last as long as the context: one ``verify_graph``
-    call or batch instance.
+    call or batch instance. ``used`` comes from the vertex degrees and
+    ``ideal`` is listed on first read, so a graph over the cap is refused
+    before any 3-path is listed, and a check that reads no table (``broom``)
+    lists none.
     """
 
     graph: Graph
@@ -121,24 +125,32 @@ class GraphContext:
     cap: int = DEFAULT_CAP
     source: str = "graph"
     kind: str = field(init=False)
-    ideal: MonomialIdeal = field(init=False)  # I3(G)
-    used: frozenset[int] = field(init=False)  # the vertices on some 3-path
     tables: dict[frozenset[int], BettiTable] = field(init=False, default_factory=dict)
     memo: dict[int, dict[int, int]] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.kind = classify(self.graph).kind
-        self.ideal = path_ideal(self.graph, 3)
-        self.used = frozenset().union(*self.ideal.gens)
+
+    @cached_property
+    def ideal(self) -> MonomialIdeal:
+        """I3(G)."""
+        return path_ideal(self.graph, 3)
+
+    @cached_property
+    def used(self) -> frozenset[int]:
+        """The vertices on some 3-path: the variables of I3(G)."""
+        return self.graph.three_path_vertices()
 
     def table(self, keep: Iterable[int] | None = None) -> BettiTable:
         """Betti table of R/I3(G[keep]), of R/I3(G) when ``keep`` is None, each set's once.
 
         The first call runs I3(G)'s sum, which fills ``memo`` and serves every
-        set holding all of ``used``, so a cap error is I3(G)'s; any other
-        set's table is the sub-sum of ``memo``'s terms over W inside it.
+        set holding all of ``used``, so a cap error is I3(G)'s, raised before
+        I3(G) is listed; any other set's table is the sub-sum of ``memo``'s
+        terms over W inside it.
         """
         if self.used not in self.tables:
+            check_cap(self.graph.n, len(self.used), self.cap)
             self.tables[self.used] = betti_hochster(self.ideal, self.field_, cap=self.cap, memo=self.memo)
         key = self.used if keep is None else self.used.intersection(keep)
         if key not in self.tables:

@@ -1,11 +1,16 @@
 import argparse
+import hashlib
 import json
 import os
 
 import pytest
 
-from pathideals import cli
+from pathideals import cli, harness
+from pathideals.betti import DEFAULT_CAP
 from pathideals.cli import main
+from pathideals.generators import random_tree
+from pathideals.graphs import to_edge_list
+from pathideals.ideals import path_ideal
 
 from conftest import fixture_path
 
@@ -340,6 +345,40 @@ def test_an_unallocatable_cap_exits_three(tmp_path, capsys, monkeypatch):
     assert err.startswith("capacity error: the generators use 7 vertices, and the 2^7 subset arrays")
 
 
+# Commands on graphs over the default cap and their exit code, stdout digest
+# and stderr as recorded before the cap was tested ahead of listing I3(G):
+# ``refused`` ones are refused by the cap; colon and broom read no table and
+# pass on a 25-vertex tree, and a graph with no 3-path passes any cap.
+with open(os.path.join(os.path.dirname(__file__), "data", "capacity_golden.jsonl"), encoding="utf-8") as fh:
+    CAPACITY_GOLDEN = [json.loads(line) for line in fh]
+
+
+def write_over_cap_graphs(directory):
+    """The inputs the capacity golden commands name, relative to ``directory``."""
+    (directory / "tree25.txt").write_text(to_edge_list(random_tree(25, 1)))
+    (directory / "star3001.txt").write_text("".join(f"0 {k}\n" for k in range(1, 3001)))
+    matching = {"n": 3001, "edges": [[2 * k, 2 * k + 1] for k in range(1500)]}
+    (directory / "matching3001.json").write_text(json.dumps(matching))
+
+
+@pytest.mark.parametrize("case", CAPACITY_GOLDEN, ids=[" ".join(c["argv"]) for c in CAPACITY_GOLDEN])
+def test_over_cap_graphs_are_refused_before_a_3_path_is_listed(case, tmp_path, capsys, monkeypatch):
+    write_over_cap_graphs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PATHIDEALS_CAP", raising=False)
+    if case["refused"]:
+        def no_listing(graph, t):
+            # every graph these commands read uses all of its vertices
+            assert graph.n <= DEFAULT_CAP, f"I{t} listed on an over-cap graph with n={graph.n}"
+            return path_ideal(graph, t)
+
+        monkeypatch.setattr(cli, "path_ideal", no_listing)
+        monkeypatch.setattr(harness, "path_ideal", no_listing)
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, err) == (case["exit"], case["stderr"])
+    assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
+
+
 def test_a_negative_cap_is_an_input_error(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "reg", CATERPILLAR, "--cap", "-3")
     assert (code, out, err) == (2, "", "input error: cap must be nonnegative, got -3\n")
@@ -489,3 +528,11 @@ def test_repeated_main_calls_answer_as_fresh_ones_from_one_parser(capsys, monkey
         cli.build_parser.cache_clear()
     assert got == expected
     assert len(roots) == 1
+
+
+def test_a_handler_replaced_after_the_first_call_runs(capsys, monkeypatch):
+    assert run(capsys, "reg", CATERPILLAR, "--format", "json")[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_reg", lambda args: seen.append(args.input) or 7)
+    assert run(capsys, "reg", CATERPILLAR) == (7, "", "")
+    assert seen == [CATERPILLAR]

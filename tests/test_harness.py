@@ -101,9 +101,9 @@ def padded(graph: Graph, isolated: int, edges: int, order: list[int]) -> Graph:
 
 
 @st.composite
-def padded_graphs(draw):
+def padded_graphs(draw, max_n=8):
     kind = draw(st.sampled_from(["tree", "unicyclic", "random"]))
-    n = draw(st.integers(4 if kind == "unicyclic" else 1, 8))
+    n = draw(st.integers(4 if kind == "unicyclic" else 1, max_n))
     rng = SplitMix64(draw(st.integers(0, 10**9)))
     if kind == "tree":
         base = tree_from_rng(n, rng)
@@ -114,6 +114,14 @@ def padded_graphs(draw):
     isolated, edges = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     order = draw(st.permutations(range(n + isolated + 2 * edges)))
     return padded(base, isolated, edges, order)
+
+
+@given(padded_graphs(max_n=30))
+@settings(max_examples=200)
+def test_the_degree_count_is_the_number_of_variables_of_i3(graph):
+    variables = frozenset().union(*path_ideal(graph, 3).gens)
+    assert graph.three_path_vertices() == variables
+    assert len(GraphContext(graph).used) == len(variables)
 
 
 def assert_subgraph_tables_are_fresh_tables(graph, field, subsets, reference=betti_hochster):
