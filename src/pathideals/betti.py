@@ -19,13 +19,13 @@ a subcomplex (empty for a path); they are numbered once per dimension, in
 sorted order, as the columns of the augmented boundary rows. Each such
 subset ranks a link of Delta_W, and a face's row is built on first use, so
 faces no ranked complex reads get none; the others are multiplied out of a
-memo. A fourth rule picks the link: when some W - v is nonempty and
-Delta_{W-v} is acyclic (its series is not in the memo), the link of v in
-Delta_W is ranked, its homology shifted up by one degree (Mayer-Vietoris
-over the star of v, a cone); otherwise Delta_W itself, the link of the
-empty face. The link of v has about a third of Delta_W's faces on dense
-graphs. Both kinds are read alike, from an index built once per sum for
-each face S linked (empty or {v}): the faces holding S, less S.
+memo. A fourth rule picks the link: when some Delta_{W-v} is acyclic (its
+series is not in the memo), the link of v in Delta_W is ranked, its
+homology shifted up by one degree (Mayer-Vietoris over the star of v, a
+cone); otherwise Delta_W itself, the link of the empty face. The link of v
+has about a third of Delta_W's faces on dense graphs. Both kinds are read
+alike, from an index built once per sum for each face S linked (empty or
+{v}): the faces holding S, less S.
 
 The memo of nonzero series is the sum's own record of its terms. Handed to
 ``restricted_table``, it gives the table of the ideal generated by the
@@ -476,18 +476,19 @@ def betti_hochster(
     Every face and subset is named by its mask alone: the link index holds
     masks, the rows are keyed by the face's mask and the memo by W's.
 
-    A ranked W with a vertex v such that W - v is nonempty and has no series
-    in the memo (Delta_{W-v} is acyclic: a cone or zero homology) ranks the
-    link of v instead of Delta_W, taking the lowest such v. Delta_W is the
-    union of Delta_{W-v} and the star of v, a cone, which meet in lk(v), so
-    reduced Mayer-Vietoris gives H~_d(Delta_W) = H~_{d-1}(lk v) over every
-    field. W - v must be nonempty: Delta_{} = {empty set} has H~_{-1} = 1.
-    With no such v, Delta_W is ranked as the link of the empty face. Every
-    ranked complex is read from the index of its face S (empty or {v}),
-    built once per sum for each S: the faces F - S of the face array, for
-    every face F != S holding S, kept where they lie inside W.
-    Every vertex of a ranked W with two or more vertices is a vertex of
-    Delta_W, since a generator {v} inside W would make v dominated.
+    A ranked W with a vertex v such that W - v has no series in the memo
+    (Delta_{W-v} is acyclic: a cone or zero homology) ranks the link of v
+    instead of Delta_W, taking the lowest such v. Delta_W is the union of
+    Delta_{W-v} and the star of v, a cone, which meet in lk(v), so reduced
+    Mayer-Vietoris gives H~_d(Delta_W) = H~_{d-1}(lk v) over every field.
+    W - v is never empty (Delta_{} = {empty set} has H~_{-1} = 1): a ranked
+    W has two or more vertices, as a one-vertex survivor {p} is the variable
+    generator p. With no such v, Delta_W is ranked as the link of the empty
+    face. Every ranked complex is read from the index of its face S (empty
+    or {v}), built once per sum for each S: the faces F - S of the face
+    array, for every face F != S holding S, kept where they lie inside W.
+    Every vertex of a ranked W is a vertex of Delta_W, since a generator {v}
+    inside W would make v dominated.
 
     ``cap`` bounds the vertices the generators use, which size the 2^n
     arrays; variables in no generator cost nothing. The test is
@@ -559,9 +560,9 @@ def betti_hochster(
             # one sphere of dimension |W| - 2, or {empty set} when |W| = 1
             series = {w.bit_count() - 1: 1}
         elif parts is None:
-            # the lowest v with Delta_{W-v} acyclic (W - v nonempty, no series in
-            # the memo), else 0: rank lk(v), whose faces are faces of Delta_W
-            v = next((b for b in bits if w & b and b != w and w ^ b not in memo), 0)
+            # the lowest v with Delta_{W-v} acyclic (no series in the memo), else
+            # 0: rank lk(v). W - v is not empty, as a lone {p} is a generator
+            v = next((b for b in bits if w & b and w ^ b not in memo), 0)
             if v not in links:
                 lk = faces[(faces & v) != 0]
                 links[v] = lk[lk != v] ^ v

@@ -88,15 +88,12 @@ class Graph:
         return self.edge_neighborhood(u, v) | {u, v}
 
     def neighborhood_edge_set(self, x: int) -> frozenset[Edge]:
-        """Edges {y,z} avoiding x such that x,y,z span a path on 3 vertices."""
+        """Edges {y,z} avoiding x such that x,y,z span a path on 3 vertices.
+
+        They are the yz with y a neighbour of x and z != x, read from the adjacency sets.
+        """
         self._check_vertex(x)
-        out = set()
-        for u, v in self.edges:
-            if x in (u, v):
-                continue
-            if u in self.adj[x] or v in self.adj[x]:
-                out.add((u, v))
-        return frozenset(out)
+        return frozenset(canon_edge(y, z) for y in self.adj[x] for z in self.adj[y] if z != x)
 
     # -- path enumeration ---------------------------------------------------
 
@@ -148,10 +145,6 @@ class Graph:
         labels = tuple(self.labels[v] for v in keep) if self.labels is not None else None
         return Graph(len(keep), tuple(edges), labels), remap
 
-    def edges_within(self, vertices: Iterable[int]) -> list[Edge]:
-        keep = set(vertices)
-        return [(u, v) for u, v in self.edges if u in keep and v in keep]
-
     # -- connectivity ----------------------------------------------------------
 
     def components(self) -> list[list[int]]:
@@ -187,7 +180,7 @@ class Classification:
 
 def _component_kind(graph: Graph, comp: list[int]) -> str:
     k = len(comp)
-    m = len(graph.edges_within(comp))
+    m = sum(len(graph.adj[v]) for v in comp) // 2
     if m == k - 1:
         return "tree"
     if m == k:
@@ -198,11 +191,11 @@ def _component_kind(graph: Graph, comp: list[int]) -> str:
 
 
 def classify(graph: Graph) -> Classification:
-    """Classify a graph as tree/forest/unicyclic/cycle/other.
+    """Classify a graph as tree/forest/unicyclic/cycle/other, in O(n + m).
 
     A connected graph takes the kind of its one component. Any other graph,
     the empty one included, is a forest when every component is a tree and
-    ``other`` otherwise.
+    ``other`` otherwise. A component's edge count is half its degree sum.
     """
     kinds = tuple(_component_kind(graph, c) for c in graph.components())
     if len(kinds) == 1:

@@ -234,7 +234,7 @@ def colon_identities(ctx: GraphContext, edge: tuple[int, int]) -> VerificationRe
 
 
 def ses_edges(ctx: GraphContext, edges: Iterable[tuple[int, int]]) -> VerificationReport:
-    """Short-exact-sequence regularity bound for edge monomials.
+    """Short-exact-sequence regularity bound for the monomials uv of edges of G.
 
     reg(R/I) <= max(reg(R/(I : uv)) + 2, reg(R/(I + uv))) holds at once when
     either side on the right reaches reg(R/I), so I + uv is ranked only when
@@ -245,13 +245,18 @@ def ses_edges(ctx: GraphContext, edges: Iterable[tuple[int, int]]) -> Verificati
     over every field. Both shortcuts are taken only when u and v lie in a
     generator: then I + uv uses no vertex I does not, and cannot meet a cap
     that I passed. Each vertex set's sub-sum is computed once per graph.
+
+    An edge uv lies in a generator exactly when deg u + deg v >= 3: a second
+    neighbour of u or v extends uv to a 3-path, and a 3-path through u and v
+    has its third vertex adjacent to one of them.
     """
     todo = list(edges)
     every = set(range(ctx.graph.n))
+    adj = ctx.graph.adj
     reg = ctx.table().regularity()
     failures = []
     for u, v in todo:
-        on_path = any(u in g and v in g for g in ctx.ideal.gens)
+        on_path = len(adj[u]) + len(adj[v]) >= 3
         if on_path and (
             ctx.reg(colon(ctx.ideal, {u, v})) + 2 >= reg
             or any(ctx.table(every - {w}).regularity() >= reg for w in (u, v))

@@ -14,10 +14,11 @@ homology routine ``_homology_dims_from_faces``, so that it differs from
 ``betti_hochster`` only in ranking every subcomplex: it skips no cone and
 applies no join or collapse rule.
 
-Three small helpers that the package does not export are built on its own
+Four small helpers that the package does not export are built on its own
 code and are conveniences, not references: ``add_vars`` and
 ``path_ideal_within`` make ideals from ``MonomialIdeal`` and
-``Graph.three_paths_within``, and ``regularity`` reads ``betti_hochster``.
+``Graph.three_paths_within``, ``regularity`` reads ``betti_hochster``, and
+``edges_within`` filters ``Graph.edges``.
 
 The reduced Euler characteristics of every induced subcomplex and the
 K-polynomial, both counted from the generators alone, referee the Hochster
@@ -48,7 +49,7 @@ from pathideals.betti import (
     rank_mod_p,
 )
 from pathideals.errors import InputError
-from pathideals.graphs import Graph, Path3
+from pathideals.graphs import Edge, Graph, Path3
 from pathideals.ideals import MonomialIdeal
 
 
@@ -74,6 +75,12 @@ def regularity(ideal: MonomialIdeal, field: FieldSpec = GF2) -> float:
 
 
 # -- 3-paths and matchings ----------------------------------------------------------
+
+
+def edges_within(graph: Graph, vertices: Iterable[int]) -> list[Edge]:
+    """The edges of the graph with both ends in the given vertex set."""
+    keep = set(vertices)
+    return [(u, v) for u, v in graph.edges if u in keep and v in keep]
 
 
 def enumerate_3paths_brute(graph: Graph) -> list[tuple[int, int, int]]:
@@ -104,7 +111,7 @@ def nu3_brute(graph: Graph) -> int:
             vertices = [v for p in combo for v in p]
             if len(set(vertices)) != 3 * size:
                 continue
-            if len(graph.edges_within(set(vertices))) == 2 * size:
+            if len(edges_within(graph, vertices)) == 2 * size:
                 best = size
                 break
     return best
@@ -148,7 +155,7 @@ def is_induced_3path_matching(graph: Graph, paths: Iterable[Sequence[int]]) -> M
     for a, b, c in canon:
         path_edges.add((min(a, b), max(a, b)))
         path_edges.add((min(b, c), max(b, c)))
-    for u, v in graph.edges_within(covered):
+    for u, v in edges_within(graph, covered):
         if (u, v) not in path_edges:
             return MatchingCheck(False, "extra edge in covered set", (u, v))
     return MatchingCheck(True)

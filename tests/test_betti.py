@@ -403,6 +403,18 @@ def test_plan_collapses_the_lowest_dominated_vertex_then_peels_a_component(i):
         assert parts == (None if comp == w else (comp, w ^ comp))
 
 
+@given(ambient_ideals())
+@settings(max_examples=60)
+# a bare variable beside a quadric and a cubic that share a vertex
+@example(ideal(6, (0,), (1, 2), (2, 3, 4)))
+def test_every_ranked_subset_has_two_vertices_so_no_link_leaves_it_empty(i):
+    survivors, gmasks, _, _, plan = captured_plan(i)
+    # a one-vertex survivor {p} is the union of the generators inside it: {p} itself
+    assert all(w in gmasks for w in survivors if w.bit_count() == 1)
+    # so every W left to rank that is not a generator's support keeps a vertex in W - v
+    assert all(w.bit_count() >= 2 for w, parts in plan if parts is None and w not in gmasks)
+
+
 def recorded_sum(i, field=GF2, memo=None):
     """``betti_hochster(i, field, memo=memo)`` with what ``_plan`` returned, the
     face count of each ranked complex and the faces given boundary rows, in

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import signal
 
 import pytest
 
@@ -377,6 +378,36 @@ def test_over_cap_graphs_are_refused_before_a_3_path_is_listed(case, tmp_path, c
     code, out, err = run(capsys, *case["argv"])
     assert (code, err) == (case["exit"], case["stderr"])
     assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
+
+
+@pytest.fixture
+def ten_second_guard():
+    """Fails a test that runs past 10 s at once, not at the CI job's timeout.
+
+    ``pytest.fail`` raises no ``OSError``, which ``main`` would report as an input error.
+    """
+
+    def slow(signum, frame):
+        pytest.fail("still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, slow)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_verify_refuses_an_over_cap_forest_of_many_components_fast(tmp_path, capsys, monkeypatch, ten_second_guard):
+    # 20,000 disjoint 3-vertex paths: classify must not scan the edge list once per component
+    forest = tmp_path / "forest.txt"
+    forest.write_text("".join(f"{3 * k} {3 * k + 1}\n{3 * k + 1} {3 * k + 2}\n" for k in range(20000)))
+    monkeypatch.delenv("PATHIDEALS_CAP", raising=False)
+    code, out, err = run(capsys, "verify", str(forest), "--which", "lower")
+    assert (code, out) == (3, "")
+    assert err == (
+        "capacity error: ambient n=60000 exceeds the enumeration cap 22; "
+        "raise it with --cap or the PATHIDEALS_CAP environment variable\n"
+    )
 
 
 def test_a_negative_cap_is_an_input_error(tmp_path, capsys, monkeypatch):

@@ -32,7 +32,7 @@ from pathideals.harness import (
 from pathideals.ideals import MonomialIdeal, add_monomial, colon, path_ideal
 
 from conftest import fixture_path
-from oracles import add_vars, betti_koszul_oracle, path_ideal_within
+from oracles import add_vars, betti_koszul_oracle, edges_within, path_ideal_within
 
 P5 = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
 # The edges of c6_pendant_7 at which the ses check ranks I3(G) + uv: there
@@ -122,6 +122,70 @@ def test_the_degree_count_is_the_number_of_variables_of_i3(graph):
     variables = frozenset().union(*path_ideal(graph, 3).gens)
     assert graph.three_path_vertices() == variables
     assert len(GraphContext(graph).used) == len(variables)
+
+
+@st.composite
+def forests_of_pieces(draw):
+    """Disjoint unions of up to 12 small trees, cycles and unicyclic graphs, relabeled."""
+    pieces = draw(st.lists(
+        st.tuples(st.sampled_from(["tree", "cycle", "unicyclic"]), st.integers(1, 7), st.integers(0, 10**9)),
+        max_size=12,
+    ))
+    n, edges = 0, []
+    for kind, k, seed in pieces:
+        if kind == "tree":
+            piece = tree_from_rng(k, SplitMix64(seed))
+        elif kind == "cycle":
+            piece = Graph(k + 2, tuple((j, (j + 1) % (k + 2)) for j in range(k + 2)))
+        else:
+            piece = unicyclic_from_rng(k + 3, SplitMix64(seed))
+        edges += [(u + n, v + n) for u, v in piece.edges]
+        n += piece.n
+    return padded(Graph(n, tuple(edges)), 0, 0, draw(st.permutations(range(n))))
+
+
+def brute_classification(graph):
+    """``classify``'s answer from each component's own edge list."""
+    kinds = []
+    for comp in graph.components():
+        inside = edges_within(graph, comp)
+        if len(inside) == len(comp) - 1:
+            kinds.append("tree")
+        elif len(inside) == len(comp):
+            degree_2 = all(sum(v in e for e in inside) == 2 for v in comp)
+            kinds.append("cycle" if degree_2 else "unicyclic")
+        else:
+            kinds.append("other")
+    if len(kinds) == 1:
+        return kinds[0], tuple(kinds)
+    return ("forest" if set(kinds) <= {"tree"} else "other"), tuple(kinds)
+
+
+@given(st.one_of(padded_graphs(max_n=14), forests_of_pieces()))
+@settings(max_examples=200)
+@example(Graph(0, ()))
+def test_classify_and_neighborhood_edge_sets_match_their_definitions(graph):
+    got = classify(graph)
+    assert (got.kind, got.components) == brute_classification(graph)
+    for x in range(graph.n):
+        near = {e for e in graph.edges if x not in e and (graph.has_edge(x, e[0]) or graph.has_edge(x, e[1]))}
+        assert graph.neighborhood_edge_set(x) == near, x
+
+
+@given(padded_graphs())
+@settings(max_examples=60)
+def test_ses_takes_its_shortcuts_at_exactly_the_edges_on_a_3_path(graph):
+    shortcut = []
+
+    def recorded(ideal, mono):
+        shortcut.append(tuple(sorted(mono)))
+        return colon(ideal, mono)
+
+    gens = path_ideal(graph, 3).gens
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "colon", recorded)
+        harness.ses_edges(GraphContext(graph), graph.edges)
+    assert shortcut == [(u, v) for u, v in graph.edges if any(u in g and v in g for g in gens)]
 
 
 def assert_subgraph_tables_are_fresh_tables(graph, field, subsets, reference=betti_hochster):
