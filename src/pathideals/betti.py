@@ -428,8 +428,7 @@ def check_cap(n: int, used: int, cap: int) -> None:
     """Refuse an ideal in ``n`` variables whose generators use ``used`` of them, more than ``cap``.
 
     The one cap test and message: ``betti_hochster`` applies it to its ideal,
-    and callers that count I3(G)'s variables from the graph apply it before
-    listing a single 3-path.
+    and ``GraphContext.table()``, its one graph-side caller, before a 3-path is listed.
     """
     if used > cap:
         # the ambient n is at least used, and is what the user knows
@@ -568,15 +567,9 @@ def betti_hochster(
                 links[v] = lk[lk != v] ^ v
             lk = links[v]
             inside = lk[(lk & ~w) == 0].tolist()
-            got = list(map(rows.get, inside))
             # a row is never 0 or empty, so only a missing one is falsy
-            if not all(got):
-                for j, row in enumerate(got):
-                    if row is None:
-                        got[j] = rows[inside[j]] = _boundary_row(inside[j], ids, char)
-            dims = _homology_dims_from_faces(got, char)
-            shift = 2 if v else 1
-            series = {d + shift: h for d, h in dims.items()}
+            got = [rows.get(f) or rows.setdefault(f, _boundary_row(f, ids, char)) for f in inside]
+            series = {d + (2 if v else 1): h for d, h in _homology_dims_from_faces(got, char).items()}
         elif len(parts) == 1:
             # a strong collapse: W - v's series itself, shared, not copied
             series = memo.get(parts[0])

@@ -17,11 +17,13 @@ import sys
 from collections import Counter
 from functools import cache
 
-from .betti import CAP_ENV_VAR, DEFAULT_CAP, FieldSpec, betti_hochster, check_cap
+# betti_hochster is read only by the (cli, betti_hochster) binding in perfbench/tracing.py
+from .betti import CAP_ENV_VAR, DEFAULT_CAP, FieldSpec, betti_hochster
 from .errors import CapacityError, InputError
 from .graphs import Graph, graph_from_json_obj, load_graph, to_edge_list
 from .harness import (
-    FAMILIES, WHICH_CHOICES, BatchSpec, reports_to_csv, reports_to_jsonl, run_batch, verify_graph,
+    FAMILIES, WHICH_CHOICES, BatchSpec, GraphContext, reports_to_csv, reports_to_jsonl, run_batch,
+    verify_graph,
 )
 from .ideals import path_ideal
 from .matching import nu3
@@ -76,13 +78,10 @@ def cmd_paths(args) -> int:
 
 
 def cmd_reg(args) -> int:
-    graph = load_graph(args.input)
-    field_ = FieldSpec.parse(args.field)
-    # refuse before a 3-path is listed: a star on n vertices has about n^2/2
-    check_cap(graph.n, len(graph.three_path_vertices()), args.cap)
-    table = betti_hochster(path_ideal(graph, 3), field_, cap=args.cap)
+    ctx = GraphContext(load_graph(args.input), FieldSpec.parse(args.field), args.cap)
+    table = ctx.table()
     if args.format == "json":
-        print(json.dumps(table.to_json_obj(field_), sort_keys=True))
+        print(json.dumps(table.to_json_obj(ctx.field_), sort_keys=True))
     elif args.format == "csv":
         sys.stdout.write(table.csv_text())
     else:
@@ -117,8 +116,11 @@ def _exit_status(reports) -> int:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _emit_reports(reports, args) -> int:
@@ -141,10 +143,9 @@ def cmd_verify(args) -> int:
     if (args.input is None) == (args.family is None):
         raise InputError("give exactly one input: a graph file or --family")
     if args.input is not None:
-        graph = load_graph(args.input)
-        reports = verify_graph(graph, args.which, field_, args.cap, source=args.input)
-        return _emit_reports(reports, args)
-    reports = run_batch(_batch_spec(args, field_, args.which), jobs=args.jobs)
+        reports = verify_graph(load_graph(args.input), args.which, field_, args.cap, source=args.input)
+    else:
+        reports = run_batch(_batch_spec(args, field_, args.which), jobs=args.jobs)
     return _emit_reports(reports, args)
 
 
@@ -166,7 +167,10 @@ def cmd_search(args) -> int:
         "seed": spec.seed,
         "field": spec.field_.token,
     }
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
     _write(os.path.join(args.out, "batch.json"), json.dumps(batch_header, sort_keys=True) + "\n")
     _write(os.path.join(args.out, "histogram.csv"), histogram_text)
     _write(os.path.join(args.out, "reports.jsonl"), reports_to_jsonl(reports))
@@ -254,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (InputError, OSError) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

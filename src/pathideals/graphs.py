@@ -297,4 +297,6 @@ def load_graph(path: str) -> Graph:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"{exc} in {path}") from exc
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
     return parse_graph(text)

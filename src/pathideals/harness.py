@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from .betti import (
-    DEFAULT_CAP, GF2, NEG_INF, BettiTable, FieldSpec, SesBoundReport, betti_hochster, check_cap,
+    DEFAULT_CAP, GF2, BettiTable, FieldSpec, SesBoundReport, betti_hochster, check_cap,
     restricted_table,
 )
 from .errors import CapacityError, InputError, PathIdealsError
@@ -107,17 +107,16 @@ def reports_to_csv(reports: Iterable[VerificationReport]) -> str:
 
 @dataclass
 class GraphContext:
-    """One graph's check inputs, I3(G)'s Hochster sum, and one Betti table per vertex set.
+    """One graph's check inputs, and its one route to I3(G)'s Betti tables, for ``reg`` too.
 
     ``memo`` keeps the terms of I3(G)'s sum (see ``betti_hochster``); ``tables``
     keeps, for each vertex set S asked for, their sub-sum over S: I3(G[S])'s table.
     That sub-sum depends on S only through the vertices some 3-path uses
     (``used``), so S is keyed by its part inside them, and I3(G)'s table by
-    ``used`` itself. Both last as long as the context: one ``verify_graph``
-    call or batch instance. ``used`` comes from the vertex degrees and
-    ``ideal`` is listed on first read, so a graph over the cap is refused
-    before any 3-path is listed, and a check that reads no table (``broom``)
-    lists none.
+    ``used`` itself. Both last as long as the context: one ``reg`` command,
+    ``verify_graph`` call or batch instance. ``used`` comes from the vertex
+    degrees and ``ideal`` is listed on first read, so a graph over the cap is
+    refused before any 3-path is listed; a check that reads no table lists none.
     """
 
     graph: Graph
@@ -158,7 +157,7 @@ class GraphContext:
         return self.tables[key]
 
     def reg(self, ideal: MonomialIdeal):
-        """reg(R/J); -inf for the unit ideal.
+        """reg(R/J), for J among I3(G), I3(G) : uv and I3(G) + uv; none of them is the unit ideal.
 
         When J's generators are some variables X plus exactly the generators
         of I3(G) inside their own union S, J is I3(G[S]) + <X> with X outside
@@ -167,8 +166,6 @@ class GraphContext:
         together, so reg(R/J) is the sub-sum's over S (a set test on J). Any
         other J, in production only I3(G) + uv, gets its own uncached sum.
         """
-        if ideal.is_unit:
-            return NEG_INF
         rest = {g for g in ideal.gens if len(g) != 1}
         span = frozenset().union(*rest)
         if rest == {g for g in self.ideal.gens if g <= span}:
@@ -497,9 +494,9 @@ def _claim_instances(spec: BatchSpec, counter, conn) -> None:
 def _run_workers(spec: BatchSpec, workers: int) -> list[VerificationReport]:
     """The batch on ``workers`` forked processes that claim instances from a shared counter.
 
-    A worker that exits without reporting ends the batch with a
-    ``CapacityError`` naming its exit code (an out-of-memory kill, say); an
-    exception a worker sends is raised here. No worker outlives the call.
+    A worker that cannot start, or exits without reporting (an out-of-memory
+    kill, say), ends the batch with a ``CapacityError``; an exception a worker
+    sends is raised here. No worker outlives the call.
     """
     import multiprocessing
     from multiprocessing.connection import wait
@@ -511,7 +508,10 @@ def _run_workers(spec: BatchSpec, workers: int) -> list[VerificationReport]:
         for _ in range(workers):
             receive, send = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_claim_instances, args=(spec, counter, send), daemon=True)
-            proc.start()
+            try:
+                proc.start()
+            except OSError as exc:
+                raise CapacityError(f"could not start a batch worker: {exc}") from exc
             procs.append(proc)
             send.close()
             pending[receive] = proc

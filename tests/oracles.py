@@ -22,7 +22,12 @@ code and are conveniences, not references: ``add_vars`` and
 
 The reduced Euler characteristics of every induced subcomplex and the
 K-polynomial, both counted from the generators alone, referee the Hochster
-memo and the Betti tables at sizes no homology oracle reaches.
+memo and the Betti tables at sizes no homology oracle reaches. So do the
+closed forms at the end: the homology of a path's and of a cycle's 3-path
+complex (the tests pin both against ``reduced_homology_dims``), the Betti
+table of I3(P_n) from a count of run compositions, the table of a disjoint
+union, and the induced matching number, which is reg(R/I(F)) for the edge
+ideal of a forest F (Zheng, Comm. Algebra 2004).
 """
 
 from __future__ import annotations
@@ -365,3 +370,100 @@ def k_polynomial(ideal: MonomialIdeal) -> list[int]:
         sum(f * comb(n - k, j - k) * (-1) ** (j - k) for k, f in enumerate(f_vector[: j + 1]))
         for j in range(n + 1)
     ]
+
+
+# -- closed forms: paths, cycles and forests -----------------------------------------
+
+
+def path_graph(n: int) -> Graph:
+    """P_n: the vertices 0..n-1 in a row."""
+    return Graph(n, tuple((k, k + 1) for k in range(n - 1)))
+
+
+def cycle_graph(n: int) -> Graph:
+    """C_n for n >= 3: the vertices 0..n-1 in a ring."""
+    return Graph(n, tuple((k, (k + 1) % n) for k in range(n)))
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    """G and H side by side, H's vertices numbered after G's."""
+    return Graph(g.n + h.n, g.edges + tuple((u + g.n, v + g.n) for u, v in h.edges))
+
+
+def betti_product(a: BettiTable, b: BettiTable) -> BettiTable:
+    """The table of R/(I + J) for I and J in disjoint variables: the tensor product of resolutions."""
+    out: dict[tuple[int, int], int] = {}
+    for i, j, x in a.entries:
+        for k, l, y in b.entries:
+            out[(i + k, j + l)] = out.get((i + k, j + l), 0) + x * y
+    return BettiTable.from_dict(out)
+
+
+def path_run_series(length: int) -> dict[int, int]:
+    """Series {d + 1: dim H~_d} of the 3-path complex of a path on ``length`` >= 1 vertices.
+
+    A run of 1 or 2 vertices is in no 3-path, so its complex is a cone; a
+    run with length = 1 or 2 (mod 4) is acyclic too; any other run is a
+    homology sphere, with series {2 ceil(length / 4): 1}.
+    """
+    if length <= 2 or length % 4 in (1, 2):
+        return {}
+    return {2 * -(-length // 4): 1}
+
+
+def cycle_series(length: int) -> dict[int, int]:
+    """Series of the 3-path complex of the whole cycle C_length, length >= 3.
+
+    {2 floor(L/4) + max(L mod 4 - 1, 0): c}, with c = 3 when L = 0 (mod 4)
+    and 1 otherwise.
+    """
+    degree = 2 * (length // 4) + max(length % 4 - 1, 0)
+    return {degree: 3 if length % 4 == 0 else 1}
+
+
+def path_betti_table(n: int) -> BettiTable:
+    """Betti table of R/I3(P_n), counted over the vertex sets W of P_n.
+
+    Delta_W is the join of the complexes of W's maximal runs, so its series
+    is the product of ``path_run_series`` over the runs: {k: 1} when every
+    run is a sphere, k the sum of their degrees, and 0 otherwise. Hochster's
+    sum adds each such W to beta_{|W|-k, |W|}. ``counts[m]`` counts by
+    (|W|, k) the W inside the first m vertices whose runs are all spheres.
+    Such a W leaves vertex m - 1 out, or ends in a run of some length L on
+    the vertices m - L..m - 1 and leaves vertex m - L - 1 (if any) out.
+    """
+    counts: list[dict[tuple[int, int], int]] = [{(0, 0): 1}]
+    for m in range(1, n + 1):
+        here = dict(counts[m - 1])  # vertex m - 1 outside W
+        for length in range(3, m + 1):
+            series = path_run_series(length)
+            if not series:
+                continue
+            [k] = series  # one sphere: {k: 1}
+            for (j, d), c in counts[max(m - length - 1, 0)].items():
+                key = (j + length, d + k)
+                here[key] = here.get(key, 0) + c
+        counts.append(here)
+    return BettiTable.from_dict({(j - k, j): c for (j, k), c in counts[n].items()})
+
+
+def induced_matching_number(graph: Graph) -> int:
+    """The most edges, pairwise disjoint, of which no two are joined by an edge: by search.
+
+    Every edge is tried in and out in order, keeping only sets that stay
+    induced, so the search is exponential; guarded to small graphs.
+    """
+    assert graph.n <= 20, "the induced matching search is guarded to n <= 20"
+    edges = graph.edges
+
+    def best(start: int, used: frozenset[int]) -> int:
+        top = 0
+        for k in range(start, len(edges)):
+            u, v = edges[k]
+            # u and v must be new, and no chosen vertex may be adjacent to either
+            if u in used or v in used or (graph.adj[u] | graph.adj[v]) & used:
+                continue
+            top = max(top, 1 + best(k + 1, used | {u, v}))
+        return top
+
+    return best(0, frozenset())

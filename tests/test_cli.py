@@ -84,6 +84,28 @@ def test_reg_text_and_csv(capsys):
     assert out.splitlines()[0] == "i,j,beta"
 
 
+@pytest.mark.parametrize("path", [CATERPILLAR, C5_PENDANT, C6_PENDANT, C7_TAIL], ids=fixture_id)
+def test_reg_reads_its_table_through_the_graph_context(capsys, monkeypatch, path):
+    # the cap test, the I3(G) listing and the sum live in GraphContext.table() alone
+    _, lower, _ = run(capsys, "verify", path, "--which", "lower")
+    tables = []
+    real_table = harness.GraphContext.table
+
+    def table(self, keep=None):
+        tables.append(keep)
+        return real_table(self, keep)
+
+    def elsewhere(*args, **kwargs):
+        raise AssertionError("reg computed its table outside GraphContext")
+
+    monkeypatch.setattr(harness.GraphContext, "table", table)
+    for name in ("betti_hochster", "path_ideal"):
+        monkeypatch.setattr(cli, name, elsewhere)
+    code, out, err = run(capsys, "reg", "--format", "json", path)
+    assert (code, err, tables) == (0, "", [None])
+    assert json.loads(out)["reg"] == json.loads(lower)["reg"]
+
+
 def test_nu3_outputs(capsys):
     code, out, _ = run(capsys, "nu3", CATERPILLAR)
     assert code == 0
@@ -296,6 +318,17 @@ def test_search_out_on_an_existing_file_is_an_input_error(tmp_path, capsys):
     assert taken.read_text() == "keep me\n"
 
 
+def test_an_os_error_inside_a_command_is_not_blamed_on_the_input(capsys, monkeypatch):
+    # only a path the user names makes an OSError an input error (exit 2)
+    def fail(*args, **kwargs):
+        raise TimeoutError("the sum timed out")
+
+    monkeypatch.setattr(harness, "betti_hochster", fail)
+    with pytest.raises(TimeoutError, match="the sum timed out"):
+        main(["reg", CATERPILLAR])
+    assert "input error:" not in capsys.readouterr().err
+
+
 def test_capacity_exit_code_and_overrides(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PATHIDEALS_CAP", "5")
     code, _, err = run(capsys, "reg", C5_PENDANT)  # 6 vertices > cap 5
@@ -384,7 +417,7 @@ def test_over_cap_graphs_are_refused_before_a_3_path_is_listed(case, tmp_path, c
 def ten_second_guard():
     """Fails a test that runs past 10 s at once, not at the CI job's timeout.
 
-    ``pytest.fail`` raises no ``OSError``, which ``main`` would report as an input error.
+    ``pytest.fail`` ends the test with that message wherever the command has got to.
     """
 
     def slow(signum, frame):

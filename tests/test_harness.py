@@ -504,6 +504,27 @@ def test_verify_exits_3_when_a_batch_worker_dies(monkeypatch, capsys, hang_guard
     assert multiprocessing.active_children() == []
 
 
+def test_verify_exits_3_when_a_batch_worker_cannot_start(monkeypatch, capsys, hang_guard):
+    # the first worker starts and the second cannot, as when fork hits a process limit
+    fork_process = multiprocessing.get_context("fork").Process
+    real_start, starts = fork_process.start, []
+
+    def start(self):
+        starts.append(self)
+        if len(starts) > 1:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        real_start(self)
+
+    monkeypatch.setattr(fork_process, "start", start)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    argv = ["verify", "--family", "tree", "--n", "8..11", "--count", "6", "--seed", "1", "--jobs", "2"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert (out, len(starts)) == ("", 2)
+    assert err == "capacity error: could not start a batch worker: [Errno 11] Resource temporarily unavailable\n"
+    assert multiprocessing.active_children() == []
+
+
 def test_a_worker_that_dies_holding_the_counter_lock_strands_no_other(monkeypatch, hang_guard):
     def die_holding_the_lock(spec, counter, conn):
         counter.get_lock().acquire()
