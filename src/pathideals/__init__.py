@@ -13,7 +13,6 @@ from .betti import (
     GF2,
     GF3,
     QQ,
-    NEG_INF,
     betti_hochster,
 )
 from .errors import CapacityError, InputError, NoBroomVertexError, PathIdealsError
@@ -54,7 +53,6 @@ __all__ = [
     "InputError",
     "MatchingCertificate",
     "MonomialIdeal",
-    "NEG_INF",
     "NoBroomVertexError",
     "PathIdealsError",
     "QQ",

@@ -51,7 +51,6 @@ import numpy as np
 from .errors import CapacityError, InputError
 from .ideals import MonomialIdeal, add_monomial, colon
 
-NEG_INF = float("-inf")
 DEFAULT_CAP = 22
 CAP_ENV_VAR = "PATHIDEALS_CAP"
 MAX_PRIME = 1 << 31

@@ -114,21 +114,21 @@ class GraphContext:
     That sub-sum depends on S only through the vertices some 3-path uses
     (``used``), so S is keyed by its part inside them, and I3(G)'s table by
     ``used`` itself. Both last as long as the context: one ``reg`` command,
-    ``verify_graph`` call or batch instance. ``used`` comes from the vertex
-    degrees and ``ideal`` is listed on first read, so a graph over the cap is
-    refused before any 3-path is listed; a check that reads no table lists none.
+    ``verify_graph`` call or batch instance. ``kind``, ``used`` (from the degrees)
+    and ``ideal`` are found on first read, so a table refuses an over-cap graph
+    before any 3-path is listed; a check that reads no table lists none.
     """
 
     graph: Graph
     field_: FieldSpec = GF2
     cap: int = DEFAULT_CAP
     source: str = "graph"
-    kind: str = field(init=False)
     tables: dict[frozenset[int], BettiTable] = field(init=False, default_factory=dict)
     memo: dict[int, dict[int, int]] = field(init=False, default_factory=dict)
 
-    def __post_init__(self) -> None:
-        self.kind = classify(self.graph).kind
+    @cached_property
+    def kind(self) -> str:
+        return classify(self.graph).kind
 
     @cached_property
     def ideal(self) -> MonomialIdeal:

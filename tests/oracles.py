@@ -43,7 +43,6 @@ import numpy as np
 
 from pathideals.betti import (
     GF2,
-    NEG_INF,
     BettiTable,
     FieldSpec,
     _boundary_row,
@@ -70,6 +69,9 @@ def path_ideal_within(graph: Graph, vertices: Iterable[int], t: int) -> Monomial
     """Path ideal of an induced subgraph, kept in the ambient of the host graph; t = 3 only."""
     assert t == 3, f"t={t} unsupported; only t = 3"
     return MonomialIdeal(graph.n, frozenset(frozenset(p) for p in graph.three_paths_within(vertices)))
+
+
+NEG_INF = float("-inf")
 
 
 def regularity(ideal: MonomialIdeal, field: FieldSpec = GF2) -> float:
@@ -467,3 +469,93 @@ def induced_matching_number(graph: Graph) -> int:
         return top
 
     return best(0, frozenset())
+
+
+# -- isomorphism classes: every tree and unicyclic graph up to a size ----------------
+
+
+def _ahu(adj: Sequence[Iterable[int]], v: int, avoid: Iterable[int]) -> str:
+    """AHU code of the tree rooted at v, entered through no vertex of ``avoid``.
+
+    A vertex's code wraps its children's codes, sorted, in one pair of brackets,
+    so two rooted trees are isomorphic exactly when their codes are equal.
+    """
+    return "(" + "".join(sorted(_ahu(adj, w, {v}) for w in adj[v] if w not in avoid)) + ")"
+
+
+def _strip_leaves(graph: Graph, keep: int) -> set[int]:
+    """The vertices left by stripping the degree-1 vertices a layer at a time.
+
+    Strips while more than ``keep`` vertices and some leaf are left: with
+    ``keep`` = 2 a tree is left with its one or two centres, and with
+    ``keep`` = 0 a unicyclic graph with its cycle.
+    """
+    left = set(range(graph.n))
+    degree = [len(graph.adj[v]) for v in range(graph.n)]
+    while len(left) > keep:
+        leaves = [v for v in left if degree[v] <= 1]
+        if not leaves:
+            break
+        for v in leaves:
+            left.discard(v)
+            for w in graph.adj[v]:
+                degree[w] -= 1
+    return left
+
+
+def _tree_code(graph: Graph) -> str:
+    """The smaller AHU code of the tree rooted at its one or two centres."""
+    return min(_ahu(graph.adj, c, ()) for c in _strip_leaves(graph, 2))
+
+
+def tree_classes(n_max: int) -> dict[int, list[Graph]]:
+    """One tree from each isomorphism class, for each n = 1..n_max.
+
+    The classes at n come from those at n - 1 by a new leaf on every vertex,
+    kept when their canonical code (``_tree_code``) is new.
+    """
+    classes = {1: [Graph(1, ())]} if n_max >= 1 else {}
+    for n in range(2, n_max + 1):
+        found: dict[str, Graph] = {}
+        for tree in classes[n - 1]:
+            for v in range(n - 1):
+                grown = Graph(n, tree.edges + ((v, n - 1),))
+                found.setdefault(_tree_code(grown), grown)
+        classes[n] = list(found.values())
+    return classes
+
+
+def _cycle(graph: Graph) -> list[int]:
+    """The cycle of a connected unicyclic graph, in order round it from its least vertex."""
+    on_cycle = _strip_leaves(graph, 0)
+    walk = [min(on_cycle)]
+    while len(walk) < len(on_cycle):
+        walk.append(min(w for w in graph.adj[walk[-1]] & on_cycle if w not in walk[-2:]))
+    return walk
+
+
+def unicyclic_classes(n_max: int) -> dict[int, list[tuple[Graph, int]]]:
+    """One connected unicyclic graph from each isomorphism class, with its cycle length L.
+
+    For each n = 3..n_max, every non-edge of every tree class on n vertices is
+    added. A graph's code is the least of the 2L rotations and reflections of
+    the sequence of trees hanging from its cycle, each as its AHU code rooted
+    on the cycle; the first graph with a new code is kept. The cycle C_n is
+    among the classes, as the one with L = n.
+    """
+    trees = tree_classes(n_max)
+    classes = {}
+    for n in range(3, n_max + 1):
+        found: dict[tuple[str, ...], tuple[Graph, int]] = {}
+        for tree in trees[n]:
+            for u, v in itertools.combinations(range(n), 2):
+                if tree.has_edge(u, v):
+                    continue
+                graph = Graph(n, tree.edges + ((u, v),))
+                cycle = _cycle(graph)
+                hanging = [_ahu(graph.adj, c, cycle) for c in cycle]
+                turns = [hanging[k:] + hanging[:k] for k in range(len(cycle))]
+                code = min(tuple(s) for t in turns for s in (t, t[::-1]))
+                found.setdefault(code, (graph, len(cycle)))
+        classes[n] = list(found.values())
+    return classes

@@ -11,7 +11,6 @@ from pathideals.betti import (
     FieldSpec,
     GF2,
     GF3,
-    NEG_INF,
     QQ,
     SesBoundReport,
     betti_hochster,
@@ -28,6 +27,7 @@ from pathideals.ideals import MonomialIdeal, colon, path_ideal
 from pathideals.matching import nu3
 
 from oracles import (
+    NEG_INF,
     _faces_and_sizes,
     betti_hochster_unpruned,
     betti_koszul_oracle,

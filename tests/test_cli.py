@@ -106,6 +106,18 @@ def test_reg_reads_its_table_through_the_graph_context(capsys, monkeypatch, path
     assert json.loads(out)["reg"] == json.loads(lower)["reg"]
 
 
+@pytest.mark.parametrize("path", [CATERPILLAR, C5_PENDANT, C6_PENDANT, C7_TAIL], ids=fixture_id)
+def test_reg_never_classifies_its_graph(capsys, monkeypatch, path):
+    # reg prints no kind, so GraphContext.kind is never read
+    expected = run(capsys, "reg", "--format", "json", path)
+
+    def classify(graph):
+        raise AssertionError("reg classified its graph")
+
+    monkeypatch.setattr(harness, "classify", classify)
+    assert run(capsys, "reg", "--format", "json", path) == expected
+
+
 def test_nu3_outputs(capsys):
     code, out, _ = run(capsys, "nu3", CATERPILLAR)
     assert code == 0
@@ -437,6 +449,29 @@ def test_verify_refuses_an_over_cap_forest_of_many_components_fast(tmp_path, cap
     monkeypatch.delenv("PATHIDEALS_CAP", raising=False)
     code, out, err = run(capsys, "verify", str(forest), "--which", "lower")
     assert (code, out) == (3, "")
+    assert err == (
+        "capacity error: ambient n=60000 exceeds the enumeration cap 22; "
+        "raise it with --cap or the PATHIDEALS_CAP environment variable\n"
+    )
+
+
+def test_tree_check_classifies_an_over_cap_forest_of_many_components_fast(tmp_path, capsys, monkeypatch, ten_second_guard):
+    # the tree check reads the kind before any table, so classify runs on all 20,000
+    # components and must not scan the edge list once per component
+    forest = tmp_path / "forest.txt"
+    forest.write_text("".join(f"{3 * k} {3 * k + 1}\n{3 * k + 1} {3 * k + 2}\n" for k in range(20000)))
+    monkeypatch.delenv("PATHIDEALS_CAP", raising=False)
+    kinds = []
+    real_classify = harness.classify
+
+    def classify(graph):
+        found = real_classify(graph)
+        kinds.append(found.kind)
+        return found
+
+    monkeypatch.setattr(harness, "classify", classify)
+    code, out, err = run(capsys, "verify", str(forest), "--which", "tree")
+    assert (code, out, kinds) == (3, "", ["forest"])
     assert err == (
         "capacity error: ambient n=60000 exceeds the enumeration cap 22; "
         "raise it with --cap or the PATHIDEALS_CAP environment variable\n"

@@ -7,7 +7,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = {
     "BettiTable", "CapacityError", "Classification", "FieldSpec", "GF2", "GF3", "Graph",
-    "InputError", "MatchingCertificate", "MonomialIdeal", "NEG_INF", "NoBroomVertexError",
+    "InputError", "MatchingCertificate", "MonomialIdeal", "NoBroomVertexError",
     "PathIdealsError", "QQ", "add_monomial", "betti_hochster",
     "check_nu3_broom_drop", "classify", "colon", "edge_colon_closed_form", "find_broom_vertex",
     "load_graph", "minimalize", "nu3", "parse_edge_list", "parse_graph", "path_ideal",
@@ -17,7 +17,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_exactly_the_exports_and_all_resolve():
-    assert len(pathideals.__all__) == len(PUBLIC_NAMES) == 32
+    assert len(pathideals.__all__) == len(PUBLIC_NAMES) == 31
     assert set(pathideals.__all__) == PUBLIC_NAMES
     for name in pathideals.__all__:
         assert getattr(pathideals, name) is not None, name
