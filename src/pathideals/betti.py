@@ -17,15 +17,21 @@ generator, so its complex is the boundary of a simplex, a sphere whose
 series is written down. The faces inside the other remaining subsets form
 a subcomplex (empty for a path); they are numbered once per dimension, in
 sorted order, as the columns of the augmented boundary rows. Each such
-subset ranks a link of Delta_W, and a face's row is built on first use, so
-faces no ranked complex reads get none; the others are multiplied out of a
-memo. A fourth rule picks the link: when some Delta_{W-v} is acyclic (its
-series is not in the memo), the link of v in Delta_W is ranked, its
-homology shifted up by one degree (Mayer-Vietoris over the star of v, a
-cone); otherwise Delta_W itself, the link of the empty face. The link of v
-has about a third of Delta_W's faces on dense graphs. Both kinds are read
-alike, from an index built once per sum for each face S linked (empty or
-{v}): the faces holding S, less S.
+subset ranks a link of Delta_W or nothing, and a face's row is built on
+first use, so faces no ranked complex reads get none; the others are
+multiplied out of a memo. A fourth rule picks the link, by a descent that reads only the memo,
+where a missing series is an acyclic complex. It rests on a lemma (the
+splitting of Adamaszek, "Splittings of independence complexes", JCTA 2012,
+applied once per vertex): if S is a face of Delta_W and Delta_{W-T} is
+acyclic for every nonempty T inside S, then
+H~_d(Delta_W) = H~_{d-|S|}(lk_W S) over every field. The descent grows S
+from the empty face by each vertex of W, in mask order, that keeps this
+true. If the next such vertex b makes S + b a non-face, lk_W(S) is
+lk_{W-b}(S), acyclic, and nothing is ranked. Otherwise the link of the
+final S is ranked, its homology shifted up by |S| degrees (Delta_W itself
+is the link of the empty face). All links are read alike, from an index of
+the faces holding S, less S, derived on first use from the index of S
+less its top vertex.
 
 The memo of nonzero series is the sum's own record of its terms. Handed to
 ``restricted_table``, it gives the table of the ideal generated by the
@@ -423,6 +429,23 @@ def _table_of(series_by_mask: Iterable[tuple[int, Mapping[int, int]]]) -> BettiT
     return BettiTable.from_dict(table)
 
 
+class _LinkIndex(dict):
+    """lk(S) for each face S, as an array of the faces F - S, F != S a face holding S.
+
+    Seeded with the face array at S = 0 (the faces of Delta_W, for any W, are
+    those inside W). A missing S is derived from the link of S less its top
+    vertex b, built the same way if missing: the faces there holding b,
+    other than b, less b.
+    """
+
+    def __missing__(self, s: int) -> np.ndarray:
+        b = 1 << (s.bit_length() - 1)
+        lk = self[s ^ b]
+        sub = lk[(lk & b) != 0]
+        self[s] = sub[sub != b] ^ b
+        return self[s]
+
+
 def check_cap(n: int, used: int, cap: int) -> None:
     """Refuse an ideal in ``n`` variables whose generators use ``used`` of them, more than ``cap``.
 
@@ -474,19 +497,34 @@ def betti_hochster(
     Every face and subset is named by its mask alone: the link index holds
     masks, the rows are keyed by the face's mask and the memo by W's.
 
-    A ranked W with a vertex v such that W - v has no series in the memo
-    (Delta_{W-v} is acyclic: a cone or zero homology) ranks the link of v
-    instead of Delta_W, taking the lowest such v. Delta_W is the union of
-    Delta_{W-v} and the star of v, a cone, which meet in lk(v), so reduced
-    Mayer-Vietoris gives H~_d(Delta_W) = H~_{d-1}(lk v) over every field.
-    W - v is never empty (Delta_{} = {empty set} has H~_{-1} = 1): a ranked
-    W has two or more vertices, as a one-vertex survivor {p} is the variable
-    generator p. With no such v, Delta_W is ranked as the link of the empty
-    face. Every ranked complex is read from the index of its face S (empty
-    or {v}), built once per sum for each S: the faces F - S of the face
-    array, for every face F != S holding S, kept where they lie inside W.
-    Every vertex of a ranked W is a vertex of Delta_W, since a generator {v}
-    inside W would make v dominated.
+    Each other W left to rank descends to a face S of Delta_W first. S
+    starts empty and takes each vertex b of W, in mask order, for which no
+    W - (T + b), T inside S, has a series in the memo, so that Delta_{W-T}
+    is acyclic (a cone or zero homology) for every nonempty T inside S + b.
+    Delta_W is the union of Delta_{W-v} and the star of v, a cone, which
+    meet in lk_W(v); so with Delta_{W-v} acyclic, reduced Mayer-Vietoris
+    gives H~_d(Delta_W) = H~_{d-1}(lk_W v) over every field. lk_W(v) less a
+    vertex u is lk_{W-u}(v), acyclic by the same sequence on W - u (both
+    Delta_{W-u} and Delta_{W-u-v} are), so the step repeats inside the
+    link, once per vertex of S: the lemma H~_d(Delta_W) = H~_{d-|S|}(lk_W S).
+    Then:
+
+    - rank-free: if such a b makes S + b a non-face, no face of lk_W(S)
+      holds b, so it is lk_{W-b}(S), acyclic by the lemma on W - b. W gets
+      no series and nothing is ranked;
+    - otherwise, once every vertex of W is tried, lk_W(S) is ranked and its
+      series shifted up by |S| + 1.
+
+    W - T is never empty, which matters, as Delta_{} = {empty set} has
+    H~_{-1} = 1 though no memo entry says so. It could be only when
+    S + b = W. Then every generator inside W holds b, as S is a face, and
+    one of them, g, is not W, as W is no generator's support. T = W - g is
+    a nonempty subset of S with Delta_{W-T} = Delta_g, a sphere in the
+    memo, so the descent would have refused the last vertex of T it met.
+
+    Every ranked complex is read from the index of its face S, kept for the
+    rest of the sum: the faces F - S of the face array, for every face
+    F != S holding S, kept where they lie inside W.
 
     ``cap`` bounds the vertices the generators use, which size the 2^n
     arrays; variables in no generator cost nothing. The test is
@@ -498,7 +536,7 @@ def betti_hochster(
     in sorted order, maps to its series. ``restricted_table`` sums it over the
     subsets of a vertex set. Its values are shared between entries (a
     collapse W maps to W - v's own dict), so they are read-only. A non-empty
-    memo is an ``InputError``: its entries would steer the link rule and
+    memo is an ``InputError``: its entries would steer the descent and
     join the sum.
     """
     if ideal.is_unit:
@@ -548,27 +586,38 @@ def betti_hochster(
     ids = _columns(faces.tolist())
     # the boundary row of each face F, added when a ranked complex first reads F
     rows: dict = {}
-    # links[v]: lk(v) as the faces F - v for each face F != {v} holding v;
+    # links[S]: lk(S) as the faces F - S for each face F != S holding S;
     # Delta_W is the link of the empty face
-    links = {0: faces}
-    bits = [1 << p for p in range(len(used))]
+    links = _LinkIndex({0: faces})
 
     for w, parts in plan:
         if parts is None and w in gens:
             # one sphere of dimension |W| - 2, or {empty set} when |W| = 1
             series = {w.bit_count() - 1: 1}
         elif parts is None:
-            # the lowest v with Delta_{W-v} acyclic (no series in the memo), else
-            # 0: rank lk(v). W - v is not empty, as a lone {p} is a generator
-            v = next((b for b in bits if w & b and w ^ b not in memo), 0)
-            if v not in links:
-                lk = faces[(faces & v) != 0]
-                links[v] = lk[lk != v] ^ v
-            lk = links[v]
-            inside = lk[(lk & ~w) == 0].tolist()
-            # a row is never 0 or empty, so only a missing one is falsy
-            got = [rows.get(f) or rows.setdefault(f, _boundary_row(f, ids, char)) for f in inside]
-            series = {d + (2 if v else 1): h for d, h in _homology_dims_from_faces(got, char).items()}
+            # descend: add each vertex b of W, in mask order, whose W - (T + b)
+            # has no series in the memo (is acyclic) for every T inside S;
+            # rest holds W - T for every T inside S
+            series, s, rest, todo = None, 0, [w], w
+            while todo:
+                b = todo & -todo
+                todo ^= b
+                for r in rest:
+                    if r ^ b in memo:
+                        break
+                else:
+                    if s | b not in ids:
+                        # no face of lk_W(S) holds b: it is lk_{W-b}(S), acyclic
+                        break
+                    s |= b
+                    rest += [r ^ b for r in rest]
+            else:
+                lk = links[s]
+                inside = lk[(lk & ~w) == 0].tolist()
+                # a row is never 0 or empty, so only a missing one is falsy
+                got = [rows.get(f) or rows.setdefault(f, _boundary_row(f, ids, char)) for f in inside]
+                shift = s.bit_count() + 1
+                series = {d + shift: h for d, h in _homology_dims_from_faces(got, char).items()}
         elif len(parts) == 1:
             # a strong collapse: W - v's series itself, shared, not copied
             series = memo.get(parts[0])

@@ -42,23 +42,27 @@ def nu3(graph: Graph) -> tuple[int, MatchingCertificate]:
     best_size = 0
     best: tuple[Path3, ...] = ()
     chosen: list[Path3] = []
-
-    def search(start: int, blocked: int, free: int) -> None:
-        nonlocal best_size, best
-        if len(chosen) > best_size:
-            best_size = len(chosen)
-            best = tuple(chosen)
-        for idx in range(start, len(cands)):
-            if len(chosen) + min(free // 3, len(cands) - idx) <= best_size:
-                return
-            if vmasks[idx] & blocked:
-                continue
-            newly = blockers[idx] & ~blocked
-            chosen.append(cands[idx])
-            search(idx + 1, blocked | blockers[idx], free - newly.bit_count())
+    # depth-first with an explicit stack, so that a deep matching cannot
+    # exhaust Python's recursion limit: the current frame's next candidate and
+    # the vertices blocked and free in it, and the same for each frame below
+    idx, blocked, free = 0, 0, graph.n
+    below: list[tuple[int, int, int]] = []
+    while True:
+        if idx == len(cands) or len(chosen) + min(free // 3, len(cands) - idx) <= best_size:
+            if not below:
+                break
             chosen.pop()
-
-    search(0, 0, graph.n)
+            idx, blocked, free = below.pop()
+        elif vmasks[idx] & blocked:
+            idx += 1
+        else:
+            chosen.append(cands[idx])
+            if len(chosen) > best_size:
+                best_size = len(chosen)
+                best = tuple(chosen)
+            newly = blockers[idx] & ~blocked
+            below.append((idx + 1, blocked, free))
+            idx, blocked, free = idx + 1, blocked | blockers[idx], free - newly.bit_count()
     return best_size, MatchingCertificate(best)
 
 

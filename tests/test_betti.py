@@ -1,4 +1,5 @@
 import copy
+import functools
 
 import numpy as np
 import pytest
@@ -488,33 +489,69 @@ def generator_supports(i):
     return {sum(1 << used.index(v) for v in g) for g in i.gens}
 
 
+def submasks(s):
+    """Every mask inside s, s and 0 included."""
+    t = s
+    while True:
+        yield t
+        if not t:
+            return
+        t = (t - 1) & s
+
+
+def descent(w, has_homology, is_face):
+    """The face S whose link in Delta_W the sum ranks, or None when it ranks nothing at W.
+
+    Recomputed vertex by vertex: S takes each vertex b of W, lowest first,
+    for which no W - (T + b), T inside S, has homology, and a b with S + b
+    not a face ends the descent with Delta_W acyclic. ``has_homology(U)``
+    answers for a proper subset U of W; the final memo's ``__contains__`` will
+    do, as its entries below W are final when W is reached.
+    """
+    s = 0
+    for b in (1 << p for p in range(w.bit_length()) if w >> p & 1):
+        if any(has_homology(w ^ t ^ b) for t in submasks(s)):
+            continue
+        if not is_face[s | b]:
+            return None
+        s |= b
+    return s
+
+
 @pytest.mark.parametrize(
-    "graph",
-    [tree_from_rng(18, SplitMix64(1)), graph_from_rng(16, 0.3, SplitMix64(1))],
+    "graph, free",
+    [(tree_from_rng(18, SplitMix64(1)), 1), (graph_from_rng(16, 0.3, SplitMix64(1)), 3_655)],
     ids=["tree18", "G16"],
 )
-def test_rows_are_built_once_for_the_faces_ranked_complexes_read(graph):
+def test_rows_are_built_once_for_the_faces_ranked_complexes_read(graph, free):
     i, memo = path_ideal(graph, 3), {}
     _, plan, ranked, built = recorded_sum(i, memo=memo)
     # what each ranked W reads, from the plan, the final memo and Delta's faces
     # alone: memo entries below W are final when W is reached, so they decide
-    # the link rule's v as they did then
-    faces = np.flatnonzero(_faces_and_sizes(i)[0])[1:]
-    gens, counts, read, below = generator_supports(i), [], set(), set()
+    # the descent's S as they did then
+    is_face = _faces_and_sizes(i)[0]
+    faces = np.flatnonzero(is_face)[1:]
+    gens, counts, read, below, rank_free = generator_supports(i), [], set(), set(), []
     for w, parts in plan:
         if parts is not None or w in gens:
             continue
         inside = faces[(faces & ~w) == 0]
         below.update(inside.tolist())
-        v = next((b for b in (1 << p for p in range(w.bit_length())) if w & b and b != w and w ^ b not in memo), 0)
-        if v:
-            inside = inside[(inside & v) != 0]
-            inside = inside[inside != v] ^ v
+        s = descent(w, memo.__contains__, is_face)
+        if s is None:
+            rank_free.append(w)
+            continue
+        inside = inside[(inside & s) == s]
+        inside = inside[inside != s] ^ s
         counts.append(len(inside))
         read.update(inside.tolist())
     assert ranked == counts
+    # the non-generator W left to rank are ranked or rank-free, and a
+    # rank-free W has no series
+    assert len(rank_free) == free
+    assert not any(w in memo for w in rank_free)
     # one row per face some ranked complex reads, and none for the other faces
-    # below a ranked W (tree18: 186 of 441 faces; G16: 2,619 of 3,823)
+    # below a ranked W (tree18: 25 of 441 faces; G16: 1,500 of 3,823)
     assert sorted(built) == sorted(read)
     assert len(read) < len(below)
 
@@ -538,11 +575,14 @@ def test_a_memo_that_is_not_empty_is_refused():
 @example(ideal(7, (1,), (0, 6), (0, 4, 5), (2, 3, 5), (3, 4, 5, 6)), GF3)
 @example(ideal(9, *RP2_NONFACES, (6,), (7, 8)), GF2)
 def test_generator_supports_take_their_sphere_in_closed_form(i, field):
-    table, plan, ranked, _ = recorded_sum(i, field)
+    memo = {}
+    table, plan, ranked, _ = recorded_sum(i, field, memo)
     assert table == betti_hochster_unpruned(i, field)
     assert table == betti_koszul_oracle(i, field)
-    gens = generator_supports(i)
-    assert len(ranked) == sum(parts is None and w not in gens for w, parts in plan)
+    gens, is_face = generator_supports(i), _faces_and_sizes(i)[0]
+    # every other W left to rank is ranked once, unless its descent finds it acyclic
+    descents = [descent(w, memo.__contains__, is_face) for w, parts in plan if parts is None and w not in gens]
+    assert len(ranked) == sum(s is not None for s in descents)
 
 
 @pytest.mark.parametrize(
@@ -587,8 +627,10 @@ def test_link_rule_on_colon_ideals_matches_the_references(key, pick, by_edge, fi
     assert table == betti_koszul_oracle(i, field)
 
 
-# Delta_{0..5, 7} is a cone on 7, so the whole complex ranks the link of 6:
-# RP^2 (31 faces) plus the cone from 7 over its triangle 034 (8 faces)
+# Delta_{0..5, 7} is a cone on 7, so the whole complex's descent takes 6. It
+# takes 7 too unless Delta_{0..5}, RP^2, has homology, as over GF(2) only. So
+# GF(2) ranks the link of 6: RP^2 (31 faces) plus the cone from 7 over its
+# triangle 034 (8 faces); GF(3) and Q rank the link of 67, the simplex 034
 RP2_AS_A_LINK = ideal(8, *RP2_NONFACES, (1, 6, 7), (2, 6, 7), (5, 6, 7))
 
 
@@ -607,7 +649,7 @@ def test_link_rule_sees_the_torsion_of_rp2(monkeypatch, field):
     assert table == betti_koszul_oracle(RP2_AS_A_LINK, field)
     torsion = field.characteristic == 2
     # the whole vertex set has the largest mask, so it is ranked last
-    assert ranked[-1] == (39, {1: 1, 2: 1} if torsion else {})
+    assert ranked[-1] == ((39, {1: 1, 2: 1}) if torsion else (7, {}))
     assert (table.as_dict().get((4, 8), 0), table.as_dict().get((5, 8), 0)) == (
         (1, 1) if torsion else (0, 0)
     )
@@ -618,11 +660,27 @@ def test_link_rule_ranks_smaller_complexes_on_g16():
     table, _, ranked, _ = recorded_sum(path_ideal(graph, 3))
     # the link rule changes what is ranked, not which subsets: 8,818 of 21,090
     # survivors are left to rank, and the 98 generator supports among them
-    # are spheres in closed form, so 8,720 complexes with 664,080 face rows in
-    # all (1,974,528 when each whole Delta_W was ranked)
-    assert len(ranked) == 8720
-    assert sum(ranked) == 664_080
+    # are spheres in closed form. Of the other 8,720, the descent finds 3,655
+    # acyclic, and ranks 5,065 complexes with 127,329 face rows in all
+    # (664,080 when only a single vertex was linked, 1,974,528 when each
+    # whole Delta_W was ranked)
+    assert len(ranked) == 5065
+    assert sum(ranked) == 127_329
     assert table.regularity() == 4 == 2 * nu3(graph)[0]
+
+
+def test_descent_ranks_few_small_links_on_an_n22_tree():
+    graph = random_tree(22, 1)
+    i, memo = path_ideal(graph, 3), {}
+    table, plan, ranked, _ = recorded_sum(i, memo=memo)
+    gens, is_face = generator_supports(i), _faces_and_sizes(i)[0]
+    descents = [descent(w, memo.__contains__, is_face) for w, parts in plan if parts is None and w not in gens]
+    # 281 W are left to rank besides the 30 generator supports: 71 are found
+    # acyclic, and 210 rank a link of a nonempty face, 1,925 face rows in all
+    # (281 complexes with 303,580 when only a single vertex was linked)
+    assert (len(descents), descents.count(None), 0 in descents) == (281, 71, False)
+    assert (len(ranked), sum(ranked)) == (210, 1925)
+    assert table.regularity() == 10 == 2 * nu3(graph)[0]
 
 
 @st.composite
@@ -635,9 +693,16 @@ def link_rule_ideals(draw):
     return colon(i, (draw(st.integers(0, g.n - 1)),)) if draw(st.booleans()) else i
 
 
+# a link of three vertices: the whole vertex set 01245 ranks the link of 014
+DEEP_DESCENT = ideal(6, (0, 2, 4), (1, 4, 5))
+# in the whole vertex set 012345 the descent takes 1 and 2, then meets 5 with
+# 125 a generator: Delta_W is acyclic, and nothing is ranked
+RANK_FREE = ideal(7, (0, 1), (1, 2, 5), (2, 4), (3, 5))
+
+
 def test_each_ranked_link_and_each_survivor_series_match_the_oracle():
-    # every ranked complex is lk(S) in Delta_W for a face S, empty or {v}:
-    # Delta_W itself, or Delta(I : x_v) on W - v; its series is shifted up by |S| + 1
+    # every ranked complex is lk_W(S) for a face S of Delta_W: Delta(I : x_S) on
+    # W - S, Delta_W itself when S is empty; its series is shifted up by |S| + 1
     selections = set()
 
     @given(link_rule_ideals(), st.sampled_from([GF2, GF3, QQ]))
@@ -645,6 +710,8 @@ def test_each_ranked_link_and_each_survivor_series_match_the_oracle():
     @example(RP2_AS_A_LINK, GF2)
     @example(RP2_AS_A_LINK, QQ)
     @example(ideal(9, *RP2_NONFACES, (6,), (7, 8)), GF3)
+    @example(DEEP_DESCENT, GF2)
+    @example(RANK_FREE, QQ)
     def check(i, field):
         if i.is_unit or i.is_zero:
             return
@@ -659,26 +726,79 @@ def test_each_ranked_link_and_each_survivor_series_match_the_oracle():
             mp.setattr(betti, "_homology_dims_from_faces", recorded)
             _, plan, ranked, _ = recorded_sum(i, field, memo)
         used, gens = sorted(set().union(*i.gens)), generator_supports(i)
-        faces = [f for f in range(1, 1 << len(used)) if not any(g & ~f == 0 for g in gens)]
+        is_face = _faces_and_sizes(i)[0]
+        faces = [f for f in range(1, 1 << len(used)) if is_face[f]]
         expected = []
         for w, parts in plan:
             verts = [used[p] for p in range(len(used)) if w >> p & 1]
             series = reduced_homology_dims(i, verts, field)
+            # a rank-free W too: it has no series, and the oracle finds Delta_W acyclic
             assert memo.get(w) == ({k: h for k, h in enumerate(series) if h} or None)
             if parts is None and w not in gens:
-                # memo entries below W are final when W is reached, so they pick v as then
-                s = next((1 << p for p in range(len(used)) if w >> p & 1 and w != 1 << p and w ^ 1 << p not in memo), 0)
-                if s:
-                    v = used[s.bit_length() - 1]
-                    series = reduced_homology_dims(colon(i, (v,)), set(verts) - {v}, field)
+                # memo entries below W are final when W is reached, so they pick S as then
+                s = descent(w, memo.__contains__, is_face)
+                if s is None:
+                    selections.add("rank-free")
+                    continue
+                link = [used[p] for p in range(len(used)) if s >> p & 1]
+                series = reduced_homology_dims(colon(i, link), set(verts) - set(link), field)
                 size = sum(f & s == s and f != s and f & ~w == 0 for f in faces)
                 expected.append((size, {d - 1: h for d, h in enumerate(series) if h}))
-                selections.add("lk(v)" if s else "Delta_W")
+                selections.add(("Delta_W", "lk(v)", "lk(S), |S| >= 2")[min(len(link), 2)])
         assert list(zip(ranked, dims)) == expected
 
     check()
-    # the draws rank both kinds of complex
-    assert selections == {"Delta_W", "lk(v)"}
+    # the draws rank every kind of complex, and reach a rank-free W
+    assert selections == {"Delta_W", "lk(v)", "lk(S), |S| >= 2", "rank-free"}
+
+
+def test_descent_gives_delta_w_the_homology_of_its_link_or_none():
+    # the lemma, refereed by the oracle alone: if Delta_{W-T} is acyclic for
+    # every nonempty T inside the face S, then H~_d(Delta_W) = H~_{d-|S|}(lk_W S);
+    # and if S + b is no face, lk_W(S) = lk_{W-b}(S) is acyclic, so Delta_W is
+    reached = set()
+
+    @given(link_rule_ideals(), st.sampled_from([GF2, GF3, QQ]))
+    @settings(max_examples=40)
+    @example(DEEP_DESCENT, GF3)
+    @example(RANK_FREE, GF2)
+    # RP^2 is acyclic over Q, so the whole W links 67 there and 6 over GF(2)
+    @example(RP2_AS_A_LINK, GF2)
+    @example(RP2_AS_A_LINK, QQ)
+    def check(i, field):
+        if i.is_unit or i.is_zero:
+            return
+        _, plan, _, _ = recorded_sum(i, field)
+        used, gens = sorted(set().union(*i.gens)), generator_supports(i)
+        is_face = _faces_and_sizes(i)[0]
+
+        def verts(mask):
+            return [used[p] for p in range(len(used)) if mask >> p & 1]
+
+        @functools.cache
+        def homology(mask):
+            return reduced_homology_dims(i, verts(mask), field)
+
+        def has_homology(mask):
+            # Delta of the empty set is {empty set}, not acyclic: W - T is never empty
+            assert mask
+            return any(homology(mask))
+
+        for w, parts in plan:
+            if parts is None and w not in gens:
+                s = descent(w, has_homology, is_face)
+                if s is None:
+                    assert not any(homology(w))
+                    reached.add("rank-free")
+                    continue
+                link = reduced_homology_dims(colon(i, verts(s)), verts(w ^ s), field)
+                assert homology(w) == [0] * s.bit_count() + link
+                reached.add(min(s.bit_count(), 2))
+                if i == RP2_AS_A_LINK and w == 0xFF:
+                    reached.add((field.token, s))
+
+    check()
+    assert reached == {0, 1, 2, "rank-free", ("gf2", 0b1000000), ("q", 0b11000000)}
 
 
 @given(graph_keys)

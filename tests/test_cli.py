@@ -478,6 +478,16 @@ def test_tree_check_classifies_an_over_cap_forest_of_many_components_fast(tmp_pa
     )
 
 
+def test_nu3_of_a_thousand_disjoint_paths_is_not_bounded_by_the_recursion_limit(tmp_path, capsys, ten_second_guard):
+    # the branch and bound goes one level deeper per chosen path; a recursive
+    # search raised RecursionError here
+    forest = tmp_path / "forest.txt"
+    forest.write_text("".join(f"{3 * k} {3 * k + 1}\n{3 * k + 1} {3 * k + 2}\n" for k in range(1000)))
+    code, out, err = run(capsys, "nu3", str(forest))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["nu3 = 1000"] + [f"  {3 * k}-{3 * k + 1}-{3 * k + 2}" for k in range(1000)]
+
+
 def test_a_negative_cap_is_an_input_error(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "reg", CATERPILLAR, "--cap", "-3")
     assert (code, out, err) == (2, "", "input error: cap must be nonnegative, got -3\n")
