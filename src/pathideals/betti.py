@@ -17,7 +17,7 @@ generator, so its complex is the boundary of a simplex, a sphere whose
 series is written down. The faces inside the other remaining subsets form
 a subcomplex (empty for a path); they are numbered once per dimension, in
 sorted order, as the columns of the augmented boundary rows. Each such
-subset ranks a link of Delta_W or nothing, and a face's row is built on
+subset reads a link of Delta_W or nothing, and a face's row is built on
 first use, so faces no ranked complex reads get none; the others are
 multiplied out of a memo. A fourth rule picks the link, by a descent that reads only the memo,
 where a missing series is an acyclic complex. It rests on a lemma (the
@@ -27,11 +27,17 @@ acyclic for every nonempty T inside S, then
 H~_d(Delta_W) = H~_{d-|S|}(lk_W S) over every field. The descent grows S
 from the empty face by each vertex of W, in mask order, that keeps this
 true. If the next such vertex b makes S + b a non-face, lk_W(S) is
-lk_{W-b}(S), acyclic, and nothing is ranked. Otherwise the link of the
-final S is ranked, its homology shifted up by |S| degrees (Delta_W itself
-is the link of the empty face). All links are read alike, from an index of
-the faces holding S, less S, derived on first use from the index of S
-less its top vertex.
+lk_{W-b}(S), acyclic, and nothing is read. Otherwise the link of the
+final S is read, its homology shifted up by |S| degrees. If S stays empty,
+every Delta_{W-v} has homology, and Delta_W is split on its lowest vertex
+v by the same Mayer-Vietoris sequence: where no degree has homology in
+both lk_W(v) and Delta_{W-v}, the map between them is zero, and
+H~_d(Delta_W) = H~_d(Delta_{W-v}) + H~_{d-1}(lk_W v). Otherwise Delta_W
+itself, the link of the empty face, is read. A link with no 2-face is a
+graph, whose homology is counted from its vertices, edges and components
+over every field; only a link with a 2-face is ranked. Ranked links are
+read alike, from an index of the faces holding S, less S, derived on first
+use from the index of S less its top vertex.
 
 The memo of nonzero series is the sum's own record of its terms. Handed to
 ``restricted_table``, it gives the table of the ideal generated by the
@@ -50,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import and_
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Container, Iterable, Mapping
 
 import numpy as np
 
@@ -242,6 +248,58 @@ def _homology_dims_from_faces(rows: list, char: int) -> dict[int, int]:
         h = len(by_dim[d]) - ranks[d] - ranks[d + 1]
         if h:
             dims[d] = h
+    return dims
+
+
+def _graph_link_dims(s: int, w: int, faces: Container[int]) -> dict[int, int] | None:
+    """Reduced homology dims of lk_W(S) in closed form, or None if it has a 2-face.
+
+    ``faces`` holds every face of Delta inside W. The link's vertices are the
+    b in W - S with S + b a face, its edges the pairs a, b with S + a + b a
+    face. With no vertex it is {empty set}; otherwise, if no S + a + b + c is
+    a face, it is a graph with V vertices, E edges and c components, so
+    H~_0 has dimension c - 1 and H_1, free, E - V + c, over every field.
+    """
+    verts = []
+    todo = w & ~s
+    while todo:
+        b = todo & -todo
+        todo ^= b
+        if s | b in faces:
+            verts.append(b)
+    if not verts:
+        return {-1: 1}
+    # down[b]: the link's neighbours of b below b, for the vertices b met so far
+    down: dict[int, int] = {}
+    edges, comps = 0, []
+    for b in verts:
+        sb, m = s | b, 0
+        for a, below_a in down.items():
+            if sb | a in faces:
+                # a 2-face c < a < b has c below both a and b
+                both = below_a & m
+                while both:
+                    c = both & -both
+                    both ^= c
+                    if sb | a | c in faces:
+                        return None
+                m |= a
+        down[b] = m
+        edges += m.bit_count()
+        # merge every component the edges at b touch
+        comp, kept = b | m, []
+        for other in comps:
+            if other & comp:
+                comp |= other
+            else:
+                kept.append(other)
+        kept.append(comp)
+        comps = kept
+    dims = {}
+    if len(comps) > 1:
+        dims[0] = len(comps) - 1
+    if edges - len(verts) + len(comps):
+        dims[1] = edges - len(verts) + len(comps)
     return dims
 
 
@@ -511,9 +569,21 @@ def betti_hochster(
 
     - rank-free: if such a b makes S + b a non-face, no face of lk_W(S)
       holds b, so it is lk_{W-b}(S), acyclic by the lemma on W - b. W gets
-      no series and nothing is ranked;
-    - otherwise, once every vertex of W is tried, lk_W(S) is ranked and its
+      no series and nothing is read;
+    - split: if S stays empty, every W - b has a series. With v the lowest
+      vertex of W, the same sequence reads
+      H~_d(lk_W v) -> H~_d(Delta_{W-v}) -> H~_d(Delta_W) -> H~_{d-1}(lk_W v)
+      -> H~_{d-1}(Delta_{W-v}). If no degree has homology in both lk_W(v)
+      and Delta_{W-v}, every map between them is zero, and W's series is
+      W - v's plus lk_W(v)'s shifted up by 2: a sum of terms, in a new dict,
+      as memo values are shared. Otherwise a map may be nonzero, and
+      Delta_W, the link of the empty face, is read and shifted up by 1;
+    - otherwise, once every vertex of W is tried, lk_W(S) is read and its
       series shifted up by |S| + 1.
+
+    A link read is ranked only if it has a 2-face. One without is a graph,
+    or {empty set}, whose homology ``_graph_link_dims`` counts from its
+    vertices, edges and components, looking faces up among the columns.
 
     W - T is never empty, which matters, as Delta_{} = {empty set} has
     H~_{-1} = 1 though no memo entry says so. It could be only when
@@ -521,6 +591,8 @@ def betti_hochster(
     one of them, g, is not W, as W is no generator's support. T = W - g is
     a nonempty subset of S with Delta_{W-T} = Delta_g, a sphere in the
     memo, so the descent would have refused the last vertex of T it met.
+    The split's v is a face: a vertex in no face of Delta_W is dominated by
+    every other, so its W is a collapse, never left to rank.
 
     Every ranked complex is read from the index of its face S, kept for the
     rest of the sum: the faces F - S of the face array, for every face
@@ -590,6 +662,17 @@ def betti_hochster(
     # Delta_W is the link of the empty face
     links = _LinkIndex({0: faces})
 
+    def link_dims(s: int, w: int) -> dict[int, int]:
+        """H~(lk_W S): in closed form when it is a graph, ranked when it has a 2-face."""
+        dims = _graph_link_dims(s, w, ids)
+        if dims is None:
+            lk = links[s]
+            inside = lk[(lk & ~w) == 0].tolist()
+            # a row is never 0 or empty, so only a missing one is falsy
+            got = [rows.get(f) or rows.setdefault(f, _boundary_row(f, ids, char)) for f in inside]
+            dims = _homology_dims_from_faces(got, char)
+        return dims
+
     for w, parts in plan:
         if parts is None and w in gens:
             # one sphere of dimension |W| - 2, or {empty set} when |W| = 1
@@ -612,12 +695,22 @@ def betti_hochster(
                     s |= b
                     rest += [r ^ b for r in rest]
             else:
-                lk = links[s]
-                inside = lk[(lk & ~w) == 0].tolist()
-                # a row is never 0 or empty, so only a missing one is falsy
-                got = [rows.get(f) or rows.setdefault(f, _boundary_row(f, ids, char)) for f in inside]
-                shift = s.bit_count() + 1
-                series = {d + shift: h for d, h in _homology_dims_from_faces(got, char).items()}
+                if s:
+                    shift = s.bit_count() + 1
+                    series = {d + shift: h for d, h in link_dims(s, w).items()}
+                else:
+                    # every W - b has homology: split Delta_W on its lowest vertex v
+                    v = w & -w
+                    without_v = memo[w ^ v]
+                    lk = {d + 2: h for d, h in link_dims(v, w).items()}
+                    if any(d - 1 in without_v for d in lk):
+                        # H~_j(lk_W v) -> H~_j(Delta_{W-v}) may be nonzero: read Delta_W
+                        series = {d + 1: h for d, h in link_dims(0, w).items()}
+                    else:
+                        # a new dict: memo values are shared, and both may hold a degree
+                        series = dict(without_v)
+                        for d, h in lk.items():
+                            series[d] = series.get(d, 0) + h
         elif len(parts) == 1:
             # a strong collapse: W - v's series itself, shared, not copied
             series = memo.get(parts[0])

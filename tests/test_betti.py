@@ -1,5 +1,6 @@
 import copy
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from pathideals.matching import nu3
 
 from oracles import (
     NEG_INF,
+    _boundary_rows,
     _faces_and_sizes,
     betti_hochster_unpruned,
     betti_koszul_oracle,
@@ -500,7 +502,7 @@ def submasks(s):
 
 
 def descent(w, has_homology, is_face):
-    """The face S whose link in Delta_W the sum ranks, or None when it ranks nothing at W.
+    """The face S of Delta_W the descent ends at, or None when it finds Delta_W acyclic.
 
     Recomputed vertex by vertex: S takes each vertex b of W, lowest first,
     for which no W - (T + b), T inside S, has homology, and a b with S + b
@@ -518,6 +520,41 @@ def descent(w, has_homology, is_face):
     return s
 
 
+def link_faces(faces, s, w):
+    """lk_W(S) as the faces F - S, F != S, for the faces F in the array ``faces`` inside W holding S."""
+    inside = faces[(faces & ~w) == 0]
+    inside = inside[(inside & s) == s]
+    return inside[inside != s] ^ s
+
+
+def links_read(w, memo, is_face, field):
+    """The faces S whose links in Delta_W the sum reads at W, in order, or None when W is rank-free.
+
+    The descent's S, unless it stays empty: then every W - b has homology,
+    and Delta_W is split on its lowest vertex v, reading lk_W(v), and then
+    the empty face too if lk_W(v) and Delta_{W-v} have homology in one
+    degree. A link read is ranked only if it has a 2-face (``has_two_face``);
+    one without is a graph, in closed form. ``memo`` is the final memo: its
+    entries below W are final when W is reached.
+    """
+    s = descent(w, memo.__contains__, is_face)
+    if s is None:
+        return None
+    if s:
+        return [s]
+    v, char = w & -w, field.characteristic
+    lk = link_faces(np.flatnonzero(is_face)[1:], v, w).tolist()
+    # H~_d(lk_W v) sits at t^(d + 1) in a series, as H~_d(Delta_{W-v}) does
+    dims = betti._homology_dims_from_faces(_boundary_rows(lk, char), char)
+    return [v, 0] if any(d + 1 in memo[w ^ v] for d in dims) else [v]
+
+
+def has_two_face(s, w, is_face):
+    """Whether lk_W(S) has a 2-face: S + a + b + c a face for some a, b, c in W - S."""
+    verts = [1 << p for p in range(w.bit_length()) if (w & ~s) >> p & 1]
+    return any(is_face[s | a | b | c] for a, b, c in itertools.combinations(verts, 3))
+
+
 @pytest.mark.parametrize(
     "graph, free",
     [(tree_from_rng(18, SplitMix64(1)), 1), (graph_from_rng(16, 0.3, SplitMix64(1)), 3_655)],
@@ -528,30 +565,29 @@ def test_rows_are_built_once_for_the_faces_ranked_complexes_read(graph, free):
     _, plan, ranked, built = recorded_sum(i, memo=memo)
     # what each ranked W reads, from the plan, the final memo and Delta's faces
     # alone: memo entries below W are final when W is reached, so they decide
-    # the descent's S as they did then
+    # the descent's S and the split's branch as they did then
     is_face = _faces_and_sizes(i)[0]
     faces = np.flatnonzero(is_face)[1:]
     gens, counts, read, below, rank_free = generator_supports(i), [], set(), set(), []
     for w, parts in plan:
         if parts is not None or w in gens:
             continue
-        inside = faces[(faces & ~w) == 0]
-        below.update(inside.tolist())
-        s = descent(w, memo.__contains__, is_face)
-        if s is None:
+        below.update(faces[(faces & ~w) == 0].tolist())
+        links = links_read(w, memo, is_face, GF2)
+        if links is None:
             rank_free.append(w)
             continue
-        inside = inside[(inside & s) == s]
-        inside = inside[inside != s] ^ s
-        counts.append(len(inside))
-        read.update(inside.tolist())
+        for s in (s for s in links if has_two_face(s, w, is_face)):
+            lk = link_faces(faces, s, w)
+            counts.append(len(lk))
+            read.update(lk.tolist())
     assert ranked == counts
-    # the non-generator W left to rank are ranked or rank-free, and a
+    # the non-generator W left to rank read links or are rank-free, and a
     # rank-free W has no series
     assert len(rank_free) == free
     assert not any(w in memo for w in rank_free)
     # one row per face some ranked complex reads, and none for the other faces
-    # below a ranked W (tree18: 25 of 441 faces; G16: 1,500 of 3,823)
+    # below a ranked W (tree18: 24 of 441 faces; G16: 993 of 3,823)
     assert sorted(built) == sorted(read)
     assert len(read) < len(below)
 
@@ -571,7 +607,8 @@ def test_a_memo_that_is_not_empty_is_refused():
 @settings(max_examples=60)
 # a degree-1 generator next to cubics: Delta_{0} = {empty set}
 @example(ideal(6, (0,), (1, 2, 3), (2, 3, 4)), QQ)
-# degrees 1-4: the five supports take the closed form, two other subsets are ranked
+# degrees 1-4: the five supports take the closed form, and the two other
+# subsets left to rank read links that are graphs, so nothing is ranked
 @example(ideal(7, (1,), (0, 6), (0, 4, 5), (2, 3, 5), (3, 4, 5, 6)), GF3)
 @example(ideal(9, *RP2_NONFACES, (6,), (7, 8)), GF2)
 def test_generator_supports_take_their_sphere_in_closed_form(i, field):
@@ -580,9 +617,10 @@ def test_generator_supports_take_their_sphere_in_closed_form(i, field):
     assert table == betti_hochster_unpruned(i, field)
     assert table == betti_koszul_oracle(i, field)
     gens, is_face = generator_supports(i), _faces_and_sizes(i)[0]
-    # every other W left to rank is ranked once, unless its descent finds it acyclic
-    descents = [descent(w, memo.__contains__, is_face) for w, parts in plan if parts is None and w not in gens]
-    assert len(ranked) == sum(s is not None for s in descents)
+    # every other W left to rank ranks each link it reads that has a 2-face,
+    # unless its descent finds it acyclic
+    reads = [(w, links_read(w, memo, is_face, field)) for w, parts in plan if parts is None and w not in gens]
+    assert len(ranked) == sum(has_two_face(s, w, is_face) for w, read in reads for s in read or ())
 
 
 @pytest.mark.parametrize(
@@ -657,15 +695,21 @@ def test_link_rule_sees_the_torsion_of_rp2(monkeypatch, field):
 
 def test_link_rule_ranks_smaller_complexes_on_g16():
     graph = graph_from_rng(16, 0.3, SplitMix64(1))
-    table, _, ranked, _ = recorded_sum(path_ideal(graph, 3))
+    i, memo = path_ideal(graph, 3), {}
+    table, plan, ranked, _ = recorded_sum(i, memo=memo)
+    gens, is_face = generator_supports(i), _faces_and_sizes(i)[0]
+    descents = [descent(w, memo.__contains__, is_face) for w, parts in plan if parts is None and w not in gens]
     # the link rule changes what is ranked, not which subsets: 8,818 of 21,090
     # survivors are left to rank, and the 98 generator supports among them
     # are spheres in closed form. Of the other 8,720, the descent finds 3,655
-    # acyclic, and ranks 5,065 complexes with 127,329 face rows in all
-    # (664,080 when only a single vertex was linked, 1,974,528 when each
-    # whole Delta_W was ranked)
-    assert len(ranked) == 5065
-    assert sum(ranked) == 127_329
+    # acyclic and keeps S empty at 464, which split on their lowest vertex
+    # (14 of them rank Delta_W as well). Of the 5,079 links read, 3,961 are
+    # graphs in closed form: 1,118 complexes are ranked, with 53,116 face rows
+    # in all (5,065 with 127,329 when each descent's link was ranked, 664,080 when
+    # only a single vertex was linked, 1,974,528 when each whole Delta_W was)
+    assert (len(descents), descents.count(None), descents.count(0)) == (8720, 3655, 464)
+    assert len(ranked) == 1118
+    assert sum(ranked) == 53_116
     assert table.regularity() == 4 == 2 * nu3(graph)[0]
 
 
@@ -676,10 +720,12 @@ def test_descent_ranks_few_small_links_on_an_n22_tree():
     gens, is_face = generator_supports(i), _faces_and_sizes(i)[0]
     descents = [descent(w, memo.__contains__, is_face) for w, parts in plan if parts is None and w not in gens]
     # 281 W are left to rank besides the 30 generator supports: 71 are found
-    # acyclic, and 210 rank a link of a nonempty face, 1,925 face rows in all
-    # (281 complexes with 303,580 when only a single vertex was linked)
+    # acyclic, and 210 read a link of a nonempty face. 187 of those links are
+    # graphs in closed form, so 23 are ranked, 1,383 face rows in all (210
+    # with 1,925 when each descent's link was ranked, 281 complexes with 303,580
+    # when only a single vertex was linked)
     assert (len(descents), descents.count(None), 0 in descents) == (281, 71, False)
-    assert (len(ranked), sum(ranked)) == (210, 1925)
+    assert (len(ranked), sum(ranked)) == (23, 1383)
     assert table.regularity() == 10 == 2 * nu3(graph)[0]
 
 
@@ -700,6 +746,20 @@ DEEP_DESCENT = ideal(6, (0, 2, 4), (1, 4, 5))
 RANK_FREE = ideal(7, (0, 1), (1, 2, 5), (2, 4), (3, 5))
 
 
+# Delta_012 is three points and each Delta_{W-b} two, so the descent keeps S
+# empty. The split adds H~_0 = 1 of Delta_12 and H~_{-1} = 1 of lk(0) =
+# {empty set}, both at t^1: H~_0(Delta_W) = 2
+SPLIT_ADDS = ideal(3, (0, 1), (0, 2), (1, 2))
+# in 013, 01345 and 12345 the split adds two series at one degree, as above.
+# In 012345, lk(0) has H~_1 = 1 and Delta_12345 H~_1 = 3, and the cycle of
+# lk(0) is not a boundary there: the split ranks Delta_W, with H~_1 = 2, where
+# adding would give 3 and an H~_2
+SPLIT_CONFLICT = ideal(
+    6, (0, 1, 4), (0, 3, 4), (0, 3, 5), (1, 2, 4), (1, 2, 5),
+    (1, 3, 4), (1, 3, 5), (1, 4, 5), (2, 3, 5), (3, 4, 5),
+)
+
+
 def test_each_ranked_link_and_each_survivor_series_match_the_oracle():
     # every ranked complex is lk_W(S) for a face S of Delta_W: Delta(I : x_S) on
     # W - S, Delta_W itself when S is empty; its series is shifted up by |S| + 1
@@ -712,6 +772,8 @@ def test_each_ranked_link_and_each_survivor_series_match_the_oracle():
     @example(ideal(9, *RP2_NONFACES, (6,), (7, 8)), GF3)
     @example(DEEP_DESCENT, GF2)
     @example(RANK_FREE, QQ)
+    @example(SPLIT_ADDS, GF3)
+    @example(SPLIT_CONFLICT, GF2)
     def check(i, field):
         if i.is_unit or i.is_zero:
             return
@@ -732,24 +794,34 @@ def test_each_ranked_link_and_each_survivor_series_match_the_oracle():
         for w, parts in plan:
             verts = [used[p] for p in range(len(used)) if w >> p & 1]
             series = reduced_homology_dims(i, verts, field)
-            # a rank-free W too: it has no series, and the oracle finds Delta_W acyclic
+            # a rank-free W too: it has no series, and the oracle finds Delta_W
+            # acyclic; a split W has the series of the oracle's Delta_W
             assert memo.get(w) == ({k: h for k, h in enumerate(series) if h} or None)
             if parts is None and w not in gens:
-                # memo entries below W are final when W is reached, so they pick S as then
-                s = descent(w, memo.__contains__, is_face)
-                if s is None:
+                # memo entries below W are final when W is reached, so they pick the links as then
+                links = links_read(w, memo, is_face, field)
+                if links is None:
                     selections.add("rank-free")
                     continue
-                link = [used[p] for p in range(len(used)) if s >> p & 1]
-                series = reduced_homology_dims(colon(i, link), set(verts) - set(link), field)
-                size = sum(f & s == s and f != s and f & ~w == 0 for f in faces)
-                expected.append((size, {d - 1: h for d, h in enumerate(series) if h}))
-                selections.add(("Delta_W", "lk(v)", "lk(S), |S| >= 2")[min(len(link), 2)])
+                if descent(w, memo.__contains__, is_face) == 0:
+                    selections.add(("split", "split, conflict")[len(links) - 1])
+                for s in links:
+                    if not has_two_face(s, w, is_face):
+                        selections.add("graph")
+                        continue
+                    link = [used[p] for p in range(len(used)) if s >> p & 1]
+                    series = reduced_homology_dims(colon(i, link), set(verts) - set(link), field)
+                    size = sum(f & s == s and f != s and f & ~w == 0 for f in faces)
+                    expected.append((size, {d - 1: h for d, h in enumerate(series) if h}))
+                    selections.add(("Delta_W", "lk(v)", "lk(S), |S| >= 2")[min(len(link), 2)])
         assert list(zip(ranked, dims)) == expected
 
     check()
-    # the draws rank every kind of complex, and reach a rank-free W
-    assert selections == {"Delta_W", "lk(v)", "lk(S), |S| >= 2", "rank-free"}
+    # the draws rank every kind of complex, take graphs in closed form, split
+    # with and without a conflict, and reach a rank-free W
+    assert selections == {
+        "Delta_W", "lk(v)", "lk(S), |S| >= 2", "graph", "split", "split, conflict", "rank-free",
+    }
 
 
 def test_descent_gives_delta_w_the_homology_of_its_link_or_none():
@@ -799,6 +871,98 @@ def test_descent_gives_delta_w_the_homology_of_its_link_or_none():
 
     check()
     assert reached == {0, 1, 2, "rank-free", ("gf2", 0b1000000), ("q", 0b11000000)}
+
+
+def test_split_gives_delta_w_the_homology_of_its_parts_unless_they_share_a_degree():
+    # Delta_W is Delta_{W-v} and the star of v, a cone, meeting in lk_W(v). If no
+    # degree d has homology in both lk_W(v) and Delta_{W-v}, the map between them
+    # is zero and Mayer-Vietoris gives H~_d(Delta_W) = H~_d(Delta_{W-v}) +
+    # H~_{d-1}(lk_W v), over every field; refereed by the oracle alone, and the
+    # sum's series of each split W by the oracle's Delta_W
+    reached = set()
+
+    @given(link_rule_ideals(), st.sampled_from([GF2, GF3, QQ]))
+    @settings(max_examples=40)
+    @example(SPLIT_ADDS, GF2)
+    @example(SPLIT_CONFLICT, GF3)
+    @example(SPLIT_CONFLICT, QQ)
+    def check(i, field):
+        if i.is_unit or i.is_zero:
+            return
+        memo = {}
+        _, plan, _, _ = recorded_sum(i, field, memo)
+        used, gens = sorted(set().union(*i.gens)), generator_supports(i)
+        is_face = _faces_and_sizes(i)[0]
+
+        def verts(mask):
+            return [used[p] for p in range(len(used)) if mask >> p & 1]
+
+        @functools.cache
+        def homology(mask):
+            return reduced_homology_dims(i, verts(mask), field)
+
+        for w, parts in plan:
+            if parts is not None or w in gens or descent(w, lambda u: any(homology(u)), is_face) != 0:
+                continue
+            # the descent kept S empty: every Delta_{W-b} has homology
+            v = w & -w
+            rest = homology(w ^ v)
+            link = reduced_homology_dims(colon(i, verts(v)), verts(w ^ v), field)
+            assert memo.get(w) == {k: h for k, h in enumerate(homology(w)) if h}
+            # each list starts at degree -1, so lk's degree d - 1 moves up one place
+            added = [a + b for a, b in zip(rest + [0], [0] + link)]
+            if any(a and b for a, b in zip(rest, link)):
+                reached.add("conflict" if added == homology(w) else "conflict, adding is wrong")
+                continue
+            assert homology(w) == added
+            reached.add("adds at a shared degree" if any(a and b for a, b in zip(rest, [0] + link)) else "adds")
+
+    check()
+    assert reached >= {"adds", "adds at a shared degree", "conflict, adding is wrong"}
+
+
+@st.composite
+def graph_links(draw):
+    """A face S inside W and a complex K of dimension at most 1 on W - S, as
+    (S, W, K's vertices, K's edges), each a mask."""
+    w = (1 << draw(st.integers(0, 7))) - 1
+    s = draw(st.integers(0, w))
+    vertices = [1 << p for p in range(8) if (w & ~s) >> p & 1 and draw(st.booleans())]
+    edges = [a | b for a, b in itertools.combinations(vertices, 2) if draw(st.booleans())]
+    return s, w, vertices, edges
+
+
+@given(graph_links(), st.sampled_from([GF2, GF3, QQ]))
+# {empty set}: S is W
+@example((0b11, 0b11, [], []), GF2)
+# three points, under S = 0
+@example((0, 0b111, [1, 2, 4], []), QQ)
+# a forest: the paths 0-1-2 and 4-5, with 3 in S
+@example((0b1000, 0b111111, [1, 2, 4, 16, 32], [3, 6, 48]), GF3)
+# K4's 1-skeleton and a square: two components, H_1 of dimension 3 + 1
+@example((0, 0xFF, [1 << p for p in range(8)], [3, 5, 9, 6, 10, 12, 0x30, 0x60, 0xC0, 0x90]), GF2)
+def test_graph_links_take_their_homology_in_closed_form(case, field):
+    s, w, vertices, edges = case
+    # Delta is the join of the simplex S and K, so lk_W(S) = K; every face of it
+    # inside W is S' + F for S' inside S and F a face of K
+    k_faces = [0, *vertices, *edges]
+    faces = {t | f for t in submasks(s) for f in k_faces}
+    # K's minimal non-faces: the points of W - S off K, the non-edges and the
+    # triangles whose edges are all in K
+    edge_set = set(edges)
+    points = [1 << p for p in range(w.bit_length()) if (w & ~s) >> p & 1]
+    nonfaces = [b for b in points if b not in vertices]
+    nonfaces += [a | b for a, b in itertools.combinations(vertices, 2) if a | b not in edge_set]
+    triangles = [
+        a | b | c for a, b, c in itertools.combinations(vertices, 3) if {a | b, a | c, b | c} <= edge_set
+    ]
+    nonfaces += triangles
+    k = MonomialIdeal(w.bit_length(), frozenset(frozenset(p for p in range(8) if f >> p & 1) for f in nonfaces))
+    expected = reduced_homology_dims(k, [p for p in range(8) if (w & ~s) >> p & 1], field)
+    assert betti._graph_link_dims(s, w, faces) == {d: h for d, h in enumerate(expected, -1) if h}
+    # a 2-face leaves the link to be ranked
+    for tri in triangles[:1]:
+        assert betti._graph_link_dims(s, w, faces | {t | tri for t in submasks(s)}) is None
 
 
 @given(graph_keys)

@@ -5,10 +5,14 @@ the four fixtures over gf2, gf3 and q; trees, unicyclic graphs and G(n, 0.3)
 drawn from SplitMix64 seeds 1..4 at n = 9..12 (seeds 1..3 over gf2, seed 4
 over gf3 or q, as JSON); and one capacity error. The exit code and the sha256
 of stdout and stderr were recorded before the cycle walk, the test-only
-names and the survivor sort left the package. The last six lines, recorded
-before the join and collapse rules replaced the direct loop, are seed 1 at
-the sizes where those rules do most of the work: trees and unicyclic graphs
-at n = 14 and 16 and G(14, 0.3) over gf2, and the n = 14 tree over q. The graph is written to a
+names and the survivor sort left the package. The six lines after those,
+recorded before the join and collapse rules replaced the direct loop, are
+seed 1 at the sizes where those rules do most of the work: trees and
+unicyclic graphs at n = 14 and 16 and G(14, 0.3) over gf2, and the n = 14
+tree over q. The last three, recorded before the sum split a subset on a
+vertex or counted a graph link's homology, are G(16, 0.3) from seed 1 over
+gf2, gf3 and q, where the split meets homology in one degree on both sides
+and ranks the whole subcomplex (at 14 of 464 split subsets over GF(2)). The graph is written to a
 temporary file that takes the place of ``GRAPH`` in the argv. Each table
 replayed is also checked against the K-polynomial of its f-vector.
 """
