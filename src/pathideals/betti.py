@@ -14,17 +14,14 @@ join (Kuenneth: the component of the lowest vertex times the rest) from
 smaller subsets, deciding from the generators inside each subset alone.
 A generator's support, which the plan never reduces, holds no other
 generator, so its complex is the boundary of a simplex, a sphere whose
-series is written down. The faces inside the other remaining subsets form
-a subcomplex (empty for a path); they are numbered once per dimension, in
-sorted order, as the columns of the augmented boundary rows. Each such
-subset reads a link of Delta_W or nothing, and a face's row is built on
-first use, so faces no ranked complex reads get none; the others are
-multiplied out of a memo. A fourth rule picks the link, by a descent that reads only the memo,
-where a missing series is an acyclic complex. It rests on a lemma (the
-splitting of Adamaszek, "Splittings of independence complexes", JCTA 2012,
-applied once per vertex): if S is a face of Delta_W and Delta_{W-T} is
-acyclic for every nonempty T inside S, then
-H~_d(Delta_W) = H~_{d-|S|}(lk_W S) over every field. The descent grows S
+series is written down. Each other remaining subset reads a link of
+Delta_W or nothing; the reduced subsets are multiplied out of a memo. A
+fourth rule picks the link, by a descent that reads only the memo, where a
+missing series is an acyclic complex, and one byte per mask saying whether
+it is a face. It rests on a lemma (the splitting of Adamaszek, "Splittings
+of independence complexes", JCTA 2012, applied once per vertex): if S is a
+face of Delta_W and Delta_{W-T} is acyclic for every nonempty T inside S,
+then H~_d(Delta_W) = H~_{d-|S|}(lk_W S) over every field. The descent grows S
 from the empty face by each vertex of W, in mask order, that keeps this
 true. If the next such vertex b makes S + b a non-face, lk_W(S) is
 lk_{W-b}(S), acyclic, and nothing is read. Otherwise the link of the
@@ -35,9 +32,13 @@ both lk_W(v) and Delta_{W-v}, the map between them is zero, and
 H~_d(Delta_W) = H~_d(Delta_{W-v}) + H~_{d-1}(lk_W v). Otherwise Delta_W
 itself, the link of the empty face, is read. A link with no 2-face is a
 graph, whose homology is counted from its vertices, edges and components
-over every field; only a link with a 2-face is ranked. Ranked links are
-read alike, from an index of the faces holding S, less S, derived on first
-use from the index of S less its top vertex.
+over every field, from the same face bytes; only a link with a 2-face is
+ranked. The first such link builds the face index, once per sum: the faces
+inside the subsets left to rank form a subcomplex, numbered once per
+dimension, in sorted order, as the columns of the augmented boundary rows,
+and a face's row is built on first use, so faces no ranked complex reads
+get none. Ranked links are read alike, from an index of the faces holding
+S, less S, derived on first use from the index of S less its top vertex.
 
 The memo of nonzero series is the sum's own record of its terms. Handed to
 ``restricted_table``, it gives the table of the ideal generated by the
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import and_
-from typing import Callable, Container, Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -251,21 +252,22 @@ def _homology_dims_from_faces(rows: list, char: int) -> dict[int, int]:
     return dims
 
 
-def _graph_link_dims(s: int, w: int, faces: Container[int]) -> dict[int, int] | None:
+def _graph_link_dims(s: int, w: int, face: bytes) -> dict[int, int] | None:
     """Reduced homology dims of lk_W(S) in closed form, or None if it has a 2-face.
 
-    ``faces`` holds every face of Delta inside W. The link's vertices are the
-    b in W - S with S + b a face, its edges the pairs a, b with S + a + b a
-    face. With no vertex it is {empty set}; otherwise, if no S + a + b + c is
-    a face, it is a graph with V vertices, E edges and c components, so
-    H~_0 has dimension c - 1 and H_1, free, E - V + c, over every field.
+    ``face``, one byte per mask, is nonzero at M exactly when M is a face of
+    Delta; only masks inside W are read. The link's vertices are the b in
+    W - S with S + b a face, its edges the pairs a, b with S + a + b a face.
+    With no vertex it is {empty set}; otherwise, if no S + a + b + c is a
+    face, it is a graph with V vertices, E edges and c components, so H~_0
+    has dimension c - 1 and H_1, free, E - V + c, over every field.
     """
     verts = []
     todo = w & ~s
     while todo:
         b = todo & -todo
         todo ^= b
-        if s | b in faces:
+        if face[s | b]:
             verts.append(b)
     if not verts:
         return {-1: 1}
@@ -275,13 +277,13 @@ def _graph_link_dims(s: int, w: int, faces: Container[int]) -> dict[int, int] | 
     for b in verts:
         sb, m = s | b, 0
         for a, below_a in down.items():
-            if sb | a in faces:
+            if face[sb | a]:
                 # a 2-face c < a < b has c below both a and b
                 both = below_a & m
                 while both:
                     c = both & -both
                     both ^= c
-                    if sb | a | c in faces:
+                    if face[sb | a | c]:
                         return None
                 m |= a
         down[b] = m
@@ -504,6 +506,29 @@ class _LinkIndex(dict):
         return self[s]
 
 
+def _face_index(face: bytes, ranked: list[int], nverts: int) -> tuple[dict[int, int], _LinkIndex]:
+    """Columns and link index of the faces inside some W in ``ranked``, a subcomplex.
+
+    ``face[M]`` is 1 where the mask M is a face of Delta, 0 elsewhere, over
+    ``nverts`` vertices. The nonempty faces are listed in a sorted array,
+    their columns numbered in its order and the link index seeded with it,
+    as lk(empty face). ``betti_hochster`` builds this for the first link it
+    ranks, with ``ranked`` its W left to rank that are no generator's support.
+    """
+    # mark the ranked W, then every subset of one, a bit at a time
+    below = np.zeros(1 << nverts, dtype=bool)
+    below[ranked] = True
+    for b in range(nverts):
+        halves = below.reshape(-1, 2, 1 << b)
+        halves[:, 0] |= halves[:, 1]
+    faces = np.flatnonzero(np.frombuffer(face, dtype=bool) & below)[1:]
+    del below
+    # columns numbered up front in sorted order, not as rows are first built:
+    # any numbering gives the same ranks, but first-met numbering made the
+    # GF(2) reduction of G(17, 0.3) take 17% more XOR steps
+    return _columns(faces.tolist()), _LinkIndex({0: faces})
+
+
 def check_cap(n: int, used: int, cap: int) -> None:
     """Refuse an ideal in ``n`` variables whose generators use ``used`` of them, more than ``cap``.
 
@@ -540,20 +565,25 @@ def betti_hochster(
       generator's support g is among those: Delta_g, the boundary of a
       simplex ({empty set} when |g| = 1), has one component and no
       dominated vertex;
-    - rows: Delta_g needs no rank, since g is the only generator inside it
+    - faces: Delta_g needs no rank, since g is the only generator inside it
       (minimal generators form an antichain), and its series is t^(|g|-1).
-      The faces inside every other W left to rank, a subcomplex, are listed
-      in a sorted array, and their columns numbered in its order. There are
-      none when every such W is a generator's support, as on a path;
+      Whether a mask is a face is kept as one byte per mask; nothing else
+      about the faces is built up front;
     - evaluate: in mask order, so every proper subset of W comes first, each
-      W's Poincare series is written down, ranked or multiplied out of the
-      memo, which keeps only nonzero series. A ranked complex selects its
-      faces by one vectorized test on a link index, and a face's boundary
-      row is built on first use and kept for the rest of the sum. A collapse
-      takes the series of W - v itself, not a copy.
+      W's Poincare series is written down, counted, ranked or multiplied out
+      of the memo, which keeps only nonzero series. The first complex ranked
+      builds the face index (``_face_index``): the faces inside every other
+      W left to rank, a subcomplex, listed in a sorted array with their
+      columns numbered in its order, and the link index seeded with it. A
+      sum that ranks nothing, as on a path or most small trees, builds none.
+      A ranked complex selects its faces by one vectorized test on the link
+      index, and a face's boundary row is built on first use and kept for
+      the rest of the sum. A collapse takes the series of W - v itself, not
+      a copy.
 
-    Every face and subset is named by its mask alone: the link index holds
-    masks, the rows are keyed by the face's mask and the memo by W's.
+    Every face and subset is named by its mask alone: the face bytes and
+    the link index are read by mask, the rows are keyed by the face's mask
+    and the memo by W's.
 
     Each other W left to rank descends to a face S of Delta_W first. S
     starts empty and takes each vertex b of W, in mask order, for which no
@@ -583,7 +613,7 @@ def betti_hochster(
 
     A link read is ranked only if it has a 2-face. One without is a graph,
     or {empty set}, whose homology ``_graph_link_dims`` counts from its
-    vertices, edges and components, looking faces up among the columns.
+    vertices, edges and components, looking each face up in the face bytes.
 
     W - T is never empty, which matters, as Delta_{} = {empty set} has
     H~_{-1} = 1 though no memo entry says so. It could be only when
@@ -639,33 +669,31 @@ def betti_hochster(
         halves[:, 1] |= halves[:, 0]
     is_face = covered == 0
     survivors = np.flatnonzero(covered == np.arange(1 << len(used)))[1:]
-    del covered
+    # halves is a view: it would keep covered alive for the whole sum
+    del covered, halves
     plan = _plan(survivors, gmasks, is_face, len(used))
+    # face[M]: 1 if the mask M is a face of Delta, else 0; the one copy of the flags
+    face = is_face.tobytes()
+    del is_face
 
     # a generator's support W is a sphere, written down: no rank and no rows
     gens = set(gmasks)
-    # mark the ranked W, then every subset of one, a bit at a time
-    below = np.zeros(1 << len(used), dtype=bool)
-    below[[w for w, parts in plan if parts is None and w not in gens]] = True
-    for b in range(len(used)):
-        halves = below.reshape(-1, 2, 1 << b)
-        halves[:, 0] |= halves[:, 1]
-    faces = np.flatnonzero(is_face & below)[1:]
-    del is_face, below
-    # columns numbered up front in sorted order, not as rows are first built:
-    # any numbering gives the same ranks, but first-met numbering made the
-    # GF(2) reduction of G(17, 0.3) take 17% more XOR steps
-    ids = _columns(faces.tolist())
     # the boundary row of each face F, added when a ranked complex first reads F
     rows: dict = {}
-    # links[S]: lk(S) as the faces F - S for each face F != S holding S;
-    # Delta_W is the link of the empty face
-    links = _LinkIndex({0: faces})
+    # (ids, links), built when a link is first ranked, as most sums rank none:
+    # each face's column, and links[S], lk(S) as the faces F - S for each
+    # face F != S holding S (Delta_W is the link of the empty face)
+    index = None
 
     def link_dims(s: int, w: int) -> dict[int, int]:
         """H~(lk_W S): in closed form when it is a graph, ranked when it has a 2-face."""
-        dims = _graph_link_dims(s, w, ids)
+        nonlocal index
+        dims = _graph_link_dims(s, w, face)
         if dims is None:
+            if index is None:
+                ranked = [m for m, parts in plan if parts is None and m not in gens]
+                index = _face_index(face, ranked, len(used))
+            ids, links = index
             lk = links[s]
             inside = lk[(lk & ~w) == 0].tolist()
             # a row is never 0 or empty, so only a missing one is falsy
@@ -689,7 +717,7 @@ def betti_hochster(
                     if r ^ b in memo:
                         break
                 else:
-                    if s | b not in ids:
+                    if not face[s | b]:
                         # no face of lk_W(S) holds b: it is lk_{W-b}(S), acyclic
                         break
                     s |= b

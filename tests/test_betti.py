@@ -1,6 +1,9 @@
 import copy
 import functools
+import hashlib
 import itertools
+import json
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from pathideals.betti import (
     rank_gf2_rows,
     rank_mod_p,
 )
+from pathideals.cli import main
 from pathideals.errors import CapacityError, InputError
 from pathideals.generators import (
     SplitMix64, graph_from_rng, random_graph, random_tree, tree_from_rng, unicyclic_from_rng,
@@ -34,6 +38,8 @@ from oracles import (
     _faces_and_sizes,
     betti_hochster_unpruned,
     betti_koszul_oracle,
+    path_betti_table,
+    path_graph,
     rank_fraction,
     reduced_euler_characteristics,
     reduced_homology_dims,
@@ -486,6 +492,41 @@ def test_reduction_ranks_no_subset_spanning_two_disjoint_paths():
     assert r == 2 + 2 + 4
 
 
+def columns_calls(run):
+    """What ``run()`` returns, and how often it numbered the columns of a face index."""
+    calls = []
+    columns = betti._columns
+
+    def counted(faces):
+        calls.append(len(faces))
+        return columns(faces)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(betti, "_columns", counted)
+        out = run()
+    return out, len(calls)
+
+
+def test_face_index_is_built_once_and_only_when_a_link_is_ranked(tmp_path, capsys):
+    # P_11: every complex left to rank is a 3-path's support, a sphere
+    table, calls = columns_calls(lambda: betti_hochster(path_ideal(path_graph(11), 3)))
+    assert table == path_betti_table(11)
+    assert calls == 0
+    with open(os.path.join(os.path.dirname(__file__), "data", "reg_golden.jsonl"), encoding="utf-8") as fh:
+        golden = {case["id"]: case for case in map(json.loads, fh)}
+    # the 12-vertex tree of seed 1, random_tree(12, 1): every link its sum
+    # reads is a graph, counted in closed form. G(16, 0.3) of seed 1 ranks
+    # 1,118 links, all read from the one index.
+    for key, built in (("tree n=12 seed=1 gf2", 0), ("gnp0.3 n=16 seed=1 gf2", 1)):
+        case = golden[key]
+        path = tmp_path / "graph.txt"
+        path.write_text(case["input"], encoding="utf-8")
+        code, calls = columns_calls(lambda: main([str(path) if arg == "GRAPH" else arg for arg in case["argv"]]))
+        assert code == case["exit"] == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == case["stdout_sha256"]
+        assert calls == built
+
+
 def generator_supports(i):
     used = sorted(set().union(*i.gens))
     return {sum(1 << used.index(v) for v in g) for g in i.gens}
@@ -921,6 +962,11 @@ def test_split_gives_delta_w_the_homology_of_its_parts_unless_they_share_a_degre
     assert reached >= {"adds", "adds at a shared degree", "conflict, adding is wrong"}
 
 
+def face_bytes(faces):
+    """The face flags of every mask of 8 vertices, one byte each."""
+    return bytes(f in faces for f in range(1 << 8))
+
+
 @st.composite
 def graph_links(draw):
     """A face S inside W and a complex K of dimension at most 1 on W - S, as
@@ -959,10 +1005,11 @@ def test_graph_links_take_their_homology_in_closed_form(case, field):
     nonfaces += triangles
     k = MonomialIdeal(w.bit_length(), frozenset(frozenset(p for p in range(8) if f >> p & 1) for f in nonfaces))
     expected = reduced_homology_dims(k, [p for p in range(8) if (w & ~s) >> p & 1], field)
-    assert betti._graph_link_dims(s, w, faces) == {d: h for d, h in enumerate(expected, -1) if h}
+    # one byte per mask of the 8 vertices, as betti_hochster hands it over
+    assert betti._graph_link_dims(s, w, face_bytes(faces)) == {d: h for d, h in enumerate(expected, -1) if h}
     # a 2-face leaves the link to be ranked
     for tri in triangles[:1]:
-        assert betti._graph_link_dims(s, w, faces | {t | tri for t in submasks(s)}) is None
+        assert betti._graph_link_dims(s, w, face_bytes(faces | {t | tri for t in submasks(s)})) is None
 
 
 @given(graph_keys)
