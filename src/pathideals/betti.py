@@ -4,41 +4,11 @@ Everything is computed for the quotient ring R/I (so beta_{0,0} = 1 and the
 first syzygy layer counts the minimal generators of I). ``betti_hochster``
 sums reduced homology of induced subcomplexes of the Stanley-Reisner complex
 over vertex subsets, skipping subsets whose subcomplex is a cone (a vertex
-lying in no generator inside the subset). The test suite referees it with an
-independent upper-Koszul oracle.
-
-The sum runs in three steps. The plan visits the surviving subsets in mask
-order, so every proper subset comes first, and takes the homology of a
-complex with a dominated vertex (a strong collapse) or, failing that, of a
-join (Kuenneth: the component of the lowest vertex times the rest) from
-smaller subsets, deciding from the generators inside each subset alone.
-A generator's support, which the plan never reduces, holds no other
-generator, so its complex is the boundary of a simplex, a sphere whose
-series is written down. Each other remaining subset reads a link of
-Delta_W or nothing; the reduced subsets are multiplied out of a memo. A
-fourth rule picks the link, by a descent that reads only the memo, where a
-missing series is an acyclic complex, and one byte per mask saying whether
-it is a face. It rests on a lemma (the splitting of Adamaszek, "Splittings
-of independence complexes", JCTA 2012, applied once per vertex): if S is a
-face of Delta_W and Delta_{W-T} is acyclic for every nonempty T inside S,
-then H~_d(Delta_W) = H~_{d-|S|}(lk_W S) over every field. The descent grows S
-from the empty face by each vertex of W, in mask order, that keeps this
-true. If the next such vertex b makes S + b a non-face, lk_W(S) is
-lk_{W-b}(S), acyclic, and nothing is read. Otherwise the link of the
-final S is read, its homology shifted up by |S| degrees. If S stays empty,
-every Delta_{W-v} has homology, and Delta_W is split on its lowest vertex
-v by the same Mayer-Vietoris sequence: where no degree has homology in
-both lk_W(v) and Delta_{W-v}, the map between them is zero, and
-H~_d(Delta_W) = H~_d(Delta_{W-v}) + H~_{d-1}(lk_W v). Otherwise Delta_W
-itself, the link of the empty face, is read. A link with no 2-face is a
-graph, whose homology is counted from its vertices, edges and components
-over every field, from the same face bytes; only a link with a 2-face is
-ranked. The first such link builds the face index, once per sum: the faces
-inside the subsets left to rank form a subcomplex, numbered once per
-dimension, in sorted order, as the columns of the augmented boundary rows,
-and a face's row is built on first use, so faces no ranked complex reads
-get none. Ranked links are read alike, from an index of the faces holding
-S, less S, derived on first use from the index of S less its top vertex.
+lying in no generator inside the subset), and takes most other subsets'
+homology from smaller subsets or from a link of a face, so that few
+complexes are ranked. ``betti_hochster``'s docstring is the one account of
+the algorithm. The test suite referees it with an independent upper-Koszul
+oracle.
 
 The memo of nonzero series is the sum's own record of its terms. Handed to
 ``restricted_table``, it gives the table of the ideal generated by the
@@ -384,31 +354,30 @@ def _join_series(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
 
 def _plan(
     survivors: np.ndarray, gmasks: list[int], is_face: np.ndarray, nverts: int
-) -> list[tuple[int, tuple[int, ...] | None]]:
-    """How each surviving subset W gets its homology, as (W, parts) in mask order.
+) -> tuple[list[int], list[int]]:
+    """How each surviving subset W gets its homology: two lists aligned with ``survivors``.
 
     ``is_face[W]`` says whether W is a face of Delta (no generator lies
-    inside it), for every mask W, 0 included. ``parts`` is None when Delta_W
-    must be ranked. Otherwise the Poincare series sum_d dim H~_d t^(d+1) of
-    Delta_W is the product of the series of the Delta_P, P in ``parts``, each
-    P a proper subset of W, so a smaller mask that comes earlier. The first
-    rule that applies decides:
+    inside it), for every mask W, 0 included. The lists hold, per W, a
+    vertex v (a bit position) or -1, and the mask C of the component of W's
+    lowest vertex. The Poincare series sum_d dim H~_d t^(d+1) of Delta_W is
+    then, by the first rule that applies, that of a proper subset of W or
+    the product of two, smaller masks that come earlier:
 
-    - the single subset W - v when some u in W dominates v in Delta_W: every
-      face with v stays a face with u added, so Delta_W strong-collapses onto
+    - v >= 0, the lowest vertex some u in W dominates in Delta_W: every face
+      with v stays a face with u added, so Delta_W strong-collapses onto
       Delta_{W-v} (Barmak-Minian). A non-survivor W - v has zero homology.
-    - the pair C, W - C when the component C of W's lowest vertex, grouping
-      the generators inside W by shared vertices, is not all of W: Delta_W
+    - C != W, grouping the generators inside W by shared vertices: Delta_W
       is the join of Delta_C and Delta_{W-C} (Kuenneth). Both are
       survivors, and W - C is peeled the same way in its own turn.
 
-    Both hold over every field and read only which generators lie inside W.
-    Each test runs on all survivors at once, on int bitsets over the
-    survivors. Only the vertex bitsets (W holds p) come from numpy, in one
-    pass: the survivors' low bytes, at most 3 for 24 vertices, are unpacked
-    to one 0/1 row per vertex and each row is packed into an int. A
-    generator lies inside W exactly when W holds each of its vertices, so its
-    bitset is the AND of theirs. Which faces (g - u) + v exist is read for
+    Every other W is left to rank. Both rules hold over every field and read
+    only which generators lie inside W. Each test runs on all survivors at
+    once, on int bitsets over the survivors. Only the vertex bitsets (W
+    holds p) come from numpy, in one pass: the survivors' low bytes, at most
+    3 for 24 vertices, are unpacked to one 0/1 row per vertex and each row
+    is packed into an int. A generator lies inside W exactly when W holds
+    each of its vertices, so its bitset is the AND of theirs. Which faces (g - u) + v exist is read for
     every generator g, u in g and vertex v at once, and only the true flags
     reach Python. The results are again one bitset per vertex: v is
     dominated in W, and p lies in C.
@@ -467,11 +436,7 @@ def _plan(
     bits = np.unpackbits(raw.reshape(len(flat), nbytes), axis=1, count=count, bitorder="little")
     by_vertex = bits[:nverts]
     collapse = np.where(by_vertex.any(axis=0), by_vertex.argmax(axis=0), -1).tolist()
-    lowest = (vertex_bits @ bits[nverts:]).tolist()
-    return [
-        (w, (w ^ 1 << v,) if v >= 0 else (None if c == w else (c, w ^ c)))
-        for w, v, c in zip(survivors.tolist(), collapse, lowest)
-    ]
+    return collapse, (vertex_bits @ bits[nverts:]).tolist()
 
 
 def _used_vertices(ideal: MonomialIdeal) -> list[int]:
@@ -489,31 +454,14 @@ def _table_of(series_by_mask: Iterable[tuple[int, Mapping[int, int]]]) -> BettiT
     return BettiTable.from_dict(table)
 
 
-class _LinkIndex(dict):
-    """lk(S) for each face S, as an array of the faces F - S, F != S a face holding S.
-
-    Seeded with the face array at S = 0 (the faces of Delta_W, for any W, are
-    those inside W). A missing S is derived from the link of S less its top
-    vertex b, built the same way if missing: the faces there holding b,
-    other than b, less b.
-    """
-
-    def __missing__(self, s: int) -> np.ndarray:
-        b = 1 << (s.bit_length() - 1)
-        lk = self[s ^ b]
-        sub = lk[(lk & b) != 0]
-        self[s] = sub[sub != b] ^ b
-        return self[s]
-
-
-def _face_index(face: bytes, ranked: list[int], nverts: int) -> tuple[dict[int, int], _LinkIndex]:
-    """Columns and link index of the faces inside some W in ``ranked``, a subcomplex.
+def _face_index(face: bytes, ranked: list[int], nverts: int) -> tuple[dict[int, int], np.ndarray]:
+    """Columns and sorted array of the faces inside some W in ``ranked``, a subcomplex.
 
     ``face[M]`` is 1 where the mask M is a face of Delta, 0 elsewhere, over
-    ``nverts`` vertices. The nonempty faces are listed in a sorted array,
-    their columns numbered in its order and the link index seeded with it,
-    as lk(empty face). ``betti_hochster`` builds this for the first link it
-    ranks, with ``ranked`` its W left to rank that are no generator's support.
+    ``nverts`` vertices. The nonempty faces are listed in a sorted array and
+    their columns numbered in its order. ``betti_hochster`` builds this for
+    the first link it ranks, with ``ranked`` its W left to rank that are no
+    generator's support.
     """
     # mark the ranked W, then every subset of one, a bit at a time
     below = np.zeros(1 << nverts, dtype=bool)
@@ -526,7 +474,7 @@ def _face_index(face: bytes, ranked: list[int], nverts: int) -> tuple[dict[int, 
     # columns numbered up front in sorted order, not as rows are first built:
     # any numbering gives the same ranks, but first-met numbering made the
     # GF(2) reduction of G(17, 0.3) take 17% more XOR steps
-    return _columns(faces.tolist()), _LinkIndex({0: faces})
+    return _columns(faces.tolist()), faces
 
 
 def check_cap(n: int, used: int, cap: int) -> None:
@@ -560,11 +508,12 @@ def betti_hochster(
     each W the union of the generators inside W. W is a face where that
     union is 0 and survives where it is W itself.
 
-    - plan: ``_plan`` takes the homology of a strong collapse or of a join
-      from smaller subsets, and leaves every other W to be ranked. Each
-      generator's support g is among those: Delta_g, the boundary of a
-      simplex ({empty set} when |g| = 1), has one component and no
-      dominated vertex;
+    - plan: ``_plan`` names, per W, a dominated vertex, whose strong
+      collapse gives W a smaller subset's homology, and the component of the
+      lowest vertex, a join with the rest when it is not all of W. Every
+      other W is left to rank, and each generator's support g is among
+      those: Delta_g, the boundary of a simplex ({empty set} when |g| = 1),
+      has one component and no dominated vertex;
     - faces: Delta_g needs no rank, since g is the only generator inside it
       (minimal generators form an antichain), and its series is t^(|g|-1).
       Whether a mask is a face is kept as one byte per mask; nothing else
@@ -574,15 +523,14 @@ def betti_hochster(
       of the memo, which keeps only nonzero series. The first complex ranked
       builds the face index (``_face_index``): the faces inside every other
       W left to rank, a subcomplex, listed in a sorted array with their
-      columns numbered in its order, and the link index seeded with it. A
-      sum that ranks nothing, as on a path or most small trees, builds none.
-      A ranked complex selects its faces by one vectorized test on the link
-      index, and a face's boundary row is built on first use and kept for
-      the rest of the sum. A collapse takes the series of W - v itself, not
-      a copy.
+      columns numbered in its order. A sum that ranks nothing, as on a path
+      or most small trees, builds none. A ranked complex selects its faces
+      by one vectorized test on the link of its face S, and a face's
+      boundary row is built on first use and kept for the rest of the sum.
+      A collapse takes the series of W - v itself, not a copy.
 
     Every face and subset is named by its mask alone: the face bytes and
-    the link index are read by mask, the rows are keyed by the face's mask
+    the face array are read by mask, the rows are keyed by the face's mask
     and the memo by W's.
 
     Each other W left to rank descends to a face S of Delta_W first. S
@@ -594,8 +542,9 @@ def betti_hochster(
     gives H~_d(Delta_W) = H~_{d-1}(lk_W v) over every field. lk_W(v) less a
     vertex u is lk_{W-u}(v), acyclic by the same sequence on W - u (both
     Delta_{W-u} and Delta_{W-u-v} are), so the step repeats inside the
-    link, once per vertex of S: the lemma H~_d(Delta_W) = H~_{d-|S|}(lk_W S).
-    Then:
+    link, once per vertex of S: the lemma H~_d(Delta_W) = H~_{d-|S|}(lk_W S),
+    the splitting of Adamaszek ("Splittings of independence complexes",
+    JCTA 2012) applied once per vertex. Then:
 
     - rank-free: if such a b makes S + b a non-face, no face of lk_W(S)
       holds b, so it is lk_{W-b}(S), acyclic by the lemma on W - b. W gets
@@ -624,9 +573,9 @@ def betti_hochster(
     The split's v is a face: a vertex in no face of Delta_W is dominated by
     every other, so its W is a collapse, never left to rank.
 
-    Every ranked complex is read from the index of its face S, kept for the
-    rest of the sum: the faces F - S of the face array, for every face
-    F != S holding S, kept where they lie inside W.
+    A ranked complex is read from lk(S), its face S's link in the face
+    array: the faces F - S for every face F != S holding S, filtered once
+    per S and kept for the rest of the sum, of which those inside W are read.
 
     ``cap`` bounds the vertices the generators use, which size the 2^n
     arrays; variables in no generator cost nothing. The test is
@@ -671,7 +620,9 @@ def betti_hochster(
     survivors = np.flatnonzero(covered == np.arange(1 << len(used)))[1:]
     # halves is a view: it would keep covered alive for the whole sum
     del covered, halves
-    plan = _plan(survivors, gmasks, is_face, len(used))
+    collapse, lowest = _plan(survivors, gmasks, is_face, len(used))
+    # listed only now, as _plan's temporaries set the peak memory of a large sum
+    masks = survivors.tolist()
     # face[M]: 1 if the mask M is a face of Delta, else 0; the one copy of the flags
     face = is_face.tobytes()
     del is_face
@@ -680,10 +631,10 @@ def betti_hochster(
     gens = set(gmasks)
     # the boundary row of each face F, added when a ranked complex first reads F
     rows: dict = {}
-    # (ids, links), built when a link is first ranked, as most sums rank none:
-    # each face's column, and links[S], lk(S) as the faces F - S for each
-    # face F != S holding S (Delta_W is the link of the empty face)
+    # (ids, faces), built when a link is first ranked, as most sums rank none
     index = None
+    # links[S]: lk(S), the faces F - S for each face F != S holding S
+    links: dict = {}
 
     def link_dims(s: int, w: int) -> dict[int, int]:
         """H~(lk_W S): in closed form when it is a graph, ranked when it has a 2-face."""
@@ -691,9 +642,13 @@ def betti_hochster(
         dims = _graph_link_dims(s, w, face)
         if dims is None:
             if index is None:
-                ranked = [m for m, parts in plan if parts is None and m not in gens]
+                ranked = [
+                    m for m, v, c in zip(masks, collapse, lowest) if v < 0 and c == m and m not in gens
+                ]
                 index = _face_index(face, ranked, len(used))
-            ids, links = index
+            ids, faces = index
+            if s not in links:
+                links[s] = faces[((faces & s) == s) & (faces != s)] ^ s
             lk = links[s]
             inside = lk[(lk & ~w) == 0].tolist()
             # a row is never 0 or empty, so only a missing one is falsy
@@ -701,11 +656,17 @@ def betti_hochster(
             dims = _homology_dims_from_faces(got, char)
         return dims
 
-    for w, parts in plan:
-        if parts is None and w in gens:
+    for w, v, c in zip(masks, collapse, lowest):
+        if v >= 0:
+            # a strong collapse: W - v's series itself, shared, not copied
+            series = memo.get(w ^ 1 << v)
+        elif c != w:
+            # a join of the component C of W's lowest vertex and W - C
+            series = _join_series(memo.get(c, {}), memo.get(w ^ c, {}))
+        elif w in gens:
             # one sphere of dimension |W| - 2, or {empty set} when |W| = 1
             series = {w.bit_count() - 1: 1}
-        elif parts is None:
+        else:
             # descend: add each vertex b of W, in mask order, whose W - (T + b)
             # has no series in the memo (is acyclic) for every T inside S;
             # rest holds W - T for every T inside S
@@ -739,12 +700,6 @@ def betti_hochster(
                         series = dict(without_v)
                         for d, h in lk.items():
                             series[d] = series.get(d, 0) + h
-        elif len(parts) == 1:
-            # a strong collapse: W - v's series itself, shared, not copied
-            series = memo.get(parts[0])
-        else:
-            c, rest = parts
-            series = _join_series(memo.get(c, {}), memo.get(rest, {}))
         if series:
             memo[w] = series
     return _table_of(memo.items())

@@ -346,14 +346,26 @@ def ambient_ideals(draw):
     return MonomialIdeal(n, frozenset(draw(st.sets(gen, min_size=1, max_size=6))))
 
 
+def plan_parts(survivors, plan):
+    """``_plan``'s two lists as (W, parts) per survivor W: parts is (W - v,) for a
+    collapse of v, (C, W - C) for a join, with C the component of W's lowest
+    vertex, and None when W is left to rank."""
+    collapse, lowest = plan
+    return [
+        (w, (w ^ 1 << v,) if v >= 0 else (None if c == w else (c, w ^ c)))
+        for w, v, c in zip(survivors, collapse, lowest, strict=True)
+    ]
+
+
 def captured_plan(i):
-    """What ``betti_hochster(i)`` hands ``_plan`` and gets back, as lists."""
+    """What ``betti_hochster(i)`` hands ``_plan``, as lists, and its plan as ``plan_parts``."""
     seen = []
     original = betti._plan
 
     def captured(survivors, gmasks, is_face, nverts):
         plan = original(survivors, gmasks, is_face, nverts)
-        seen.append((survivors.tolist(), gmasks, is_face.tolist(), nverts, plan))
+        masks = survivors.tolist()
+        seen.append((masks, gmasks, is_face.tolist(), nverts, plan_parts(masks, plan)))
         return plan
 
     with pytest.MonkeyPatch.context() as mp:
@@ -425,15 +437,16 @@ def test_every_ranked_subset_has_two_vertices_so_no_link_leaves_it_empty(i):
 
 
 def recorded_sum(i, field=GF2, memo=None):
-    """``betti_hochster(i, field, memo=memo)`` with what ``_plan`` returned, the
-    face count of each ranked complex and the faces given boundary rows, in
-    the order their rows were built."""
+    """``betti_hochster(i, field, memo=memo)`` with its plan as ``plan_parts``,
+    the face count of each ranked complex and the faces given boundary rows,
+    in the order their rows were built."""
     plans, ranked, built = [], [], []
     plan, dims, row = betti._plan, betti._homology_dims_from_faces, betti._boundary_row
 
-    def planned(*args):
-        plans.append(plan(*args))
-        return plans[-1]
+    def planned(survivors, *args):
+        lists = plan(survivors, *args)
+        plans.append(plan_parts(survivors.tolist(), lists))
+        return lists
 
     def counted(rows, char):
         ranked.append(len(rows))
