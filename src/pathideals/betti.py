@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import and_
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -37,6 +37,8 @@ from .ideals import MonomialIdeal, add_monomial, colon
 DEFAULT_CAP = 22
 CAP_ENV_VAR = "PATHIDEALS_CAP"
 MAX_PRIME = 1 << 31
+# the weight of each of 8 bits in a byte, least significant first
+_BYTE_WEIGHTS = np.array([1 << k for k in range(8)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -380,17 +382,20 @@ def _plan(
     each of its vertices, so its bitset is the AND of theirs. Which faces (g - u) + v exist is read for
     every generator g, u in g and vertex v at once, and only the true flags
     reach Python. The results are again one bitset per vertex: v is
-    dominated in W, and p lies in C.
+    dominated in W, and p lies in C. Unpacked to one 0/1 row per vertex,
+    they give v as the first dominated vertex, and C packed 8 vertices to a
+    byte, the bytes read as a little-endian int.
     """
     count = len(survivors)
     nbytes = (count + 7) // 8
     # the survivors' low bytes, unpacked to one 0/1 row per vertex (W holds
-    # p) and packed again: row p is the bitset of the W holding p
+    # p) and packed again: row p is the bitset of the W holding p. The rows
+    # are made contiguous first, where packbits runs several times faster
     low = survivors.astype("<i8", copy=False).view(np.uint8).reshape(count, 8)[:, : (nverts + 7) // 8]
-    by_vertex = np.unpackbits(low, axis=1, count=nverts, bitorder="little").T
-    has = [int.from_bytes(row, "little") for row in np.packbits(by_vertex, axis=1, bitorder="little")]
+    by_vertex = np.ascontiguousarray(np.unpackbits(low, axis=1, count=nverts, bitorder="little").T)
+    has = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(by_vertex, axis=1, bitorder="little")]
     verts = [[p for p in range(nverts) if g >> p & 1] for g in gmasks]
-    inside = [reduce(and_, [has[p] for p in vs]) for vs in verts]
+    inside = [reduce(and_, map(has.__getitem__, vs)) for vs in verts]
     vertex_bits = np.array([1 << p for p in range(nverts)], dtype=np.int64)
 
     # conflict[v][u]: the W in which u does not dominate v, i.e. some
@@ -435,8 +440,16 @@ def _plan(
     raw = np.frombuffer(b"".join(x.to_bytes(nbytes, "little") for x in flat), dtype=np.uint8)
     bits = np.unpackbits(raw.reshape(len(flat), nbytes), axis=1, count=count, bitorder="little")
     by_vertex = bits[:nverts]
-    collapse = np.where(by_vertex.any(axis=0), by_vertex.argmax(axis=0), -1).tolist()
-    return collapse, (vertex_bits @ bits[nverts:]).tolist()
+    # argmax runs faster on a bool view than on uint8
+    collapse = np.where(by_vertex.any(axis=0), by_vertex.view(bool).argmax(axis=0), -1).tolist()
+    # each W's component C, packed 8 vertices to a byte (the 0/1 rows of 8
+    # vertices weighted 1, 2, ..., 128, all in uint8) and the bytes read as a
+    # little-endian int64
+    words = np.zeros((count, 8), dtype=np.uint8)
+    for k in range(0, nverts, 8):
+        rows = bits[nverts + k : nverts + k + 8]
+        words[:, k // 8] = _BYTE_WEIGHTS[: len(rows)] @ rows
+    return collapse, words.view("<i8")[:, 0].tolist()
 
 
 def _used_vertices(ideal: MonomialIdeal) -> list[int]:
@@ -450,27 +463,53 @@ def _table_of(series_by_mask: Iterable[tuple[int, Mapping[int, int]]]) -> BettiT
     for w, series in series_by_mask:
         size = w.bit_count()
         for k, h in series.items():
-            table[(size - k, size)] = table.get((size - k, size), 0) + h
+            key = (size - k, size)
+            table[key] = table.get(key, 0) + h
     return BettiTable.from_dict(table)
+
+
+def _vertex_sets(nverts: int) -> Iterator[int]:
+    """The masks over ``nverts`` vertices that hold p, for p from ``nverts`` - 1 down to 0.
+
+    Each set is one int, with bit M set for each mask M in it. The top
+    vertex's set is the upper half of the masks. Below it, adding 2^p to M
+    carries into bit p + 1 exactly when M holds p, so if x holds the masks
+    holding p + 1, those holding p are x ^ (x >> 2^p).
+    """
+    half = 1 << nverts - 1
+    masks = ((1 << half) - 1) << half
+    yield masks
+    for p in range(nverts - 2, -1, -1):
+        masks ^= masks >> (1 << p)
+        yield masks
+
+
+def _flags(masks: int, size: int) -> np.ndarray:
+    """One 0/1 byte per mask below ``size``: 1 where the mask is in the set ``masks``, bit M for the mask M."""
+    packed = np.frombuffer(masks.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=size, bitorder="little")
 
 
 def _face_index(face: bytes, ranked: list[int], nverts: int) -> tuple[dict[int, int], np.ndarray]:
     """Columns and sorted array of the faces inside some W in ``ranked``, a subcomplex.
 
     ``face[M]`` is 1 where the mask M is a face of Delta, 0 elsewhere, over
-    ``nverts`` vertices. The nonempty faces are listed in a sorted array and
-    their columns numbered in its order. ``betti_hochster`` builds this for
-    the first link it ranks, with ``ranked`` its W left to rank that are no
-    generator's support.
+    ``nverts`` vertices. The masks inside some ranked W are found as one set,
+    an int with bit M for the mask M: it starts as the ranked W, and for
+    each vertex b every mask in it that holds b adds itself less b, the
+    masks holding b shifted down by 2^b. The faces in that set are listed
+    in a sorted array, the empty face left out, and their columns numbered
+    in its order. ``betti_hochster`` builds this for the first link it
+    ranks, with ``ranked`` its W left to rank that are no generator's support.
     """
-    # mark the ranked W, then every subset of one, a bit at a time
-    below = np.zeros(1 << nverts, dtype=bool)
-    below[ranked] = True
-    for b in range(nverts):
-        halves = below.reshape(-1, 2, 1 << b)
-        halves[:, 0] |= halves[:, 1]
-    faces = np.flatnonzero(np.frombuffer(face, dtype=bool) & below)[1:]
-    del below
+    marks = bytearray((len(face) + 7) // 8)
+    for w in ranked:
+        marks[w >> 3] |= 1 << (w & 7)
+    below = int.from_bytes(marks, "little")
+    for b, holds in zip(range(nverts - 1, -1, -1), _vertex_sets(nverts)):
+        below |= (below & holds) >> (1 << b)
+    below &= int.from_bytes(np.packbits(np.frombuffer(face, dtype=np.uint8), bitorder="little"), "little")
+    faces = np.flatnonzero(_flags(below, len(face)))[1:]
     # columns numbered up front in sorted order, not as rows are first built:
     # any numbering gives the same ranks, but first-met numbering made the
     # GF(2) reduction of G(17, 0.3) take 17% more XOR steps
@@ -502,11 +541,14 @@ def betti_hochster(
 
     Hochster's formula sums dim H~_{j-i-1}(Delta_W) over the vertex subsets
     W with |W| = j. Three steps, over the subsets W that survive cone pruning
-    (the generators inside W cover it; otherwise Delta_W is a cone). One
-    closure over all 2^n masks finds them: seeded with each generator at its
-    own mask and OR-ed up into every superset, a bit at a time, it leaves at
-    each W the union of the generators inside W. W is a face where that
-    union is 0 and survives where it is W itself.
+    (the generators inside W cover it; otherwise Delta_W is a cone). Set
+    algebra over all 2^n masks finds them, each set of masks one int with
+    bit M for the mask M. ``_vertex_sets`` gives holds[p], the masks holding
+    vertex p. A generator's supersets are the AND of its vertices' sets, the
+    non-faces are the OR of those, and cover[p] is the OR of the supersets
+    of the generators holding p. W is pruned where it holds some p outside
+    cover[p]. The ascending survivors and the face bytes are each one
+    unpacking of one set.
 
     - plan: ``_plan`` names, per W, a dominated vertex, whose strong
       collapse gives W a smaller subset's homology, and the component of the
@@ -577,10 +619,12 @@ def betti_hochster(
     array: the faces F - S for every face F != S holding S, filtered once
     per S and kept for the rest of the sum, of which those inside W are read.
 
-    ``cap`` bounds the vertices the generators use, which size the 2^n
-    arrays; variables in no generator cost nothing. The test is
-    ``check_cap``'s, after the unit, memo and zero-ideal tests. A cap so high
-    that those arrays cannot be allocated is a ``CapacityError`` too.
+    ``cap`` bounds the vertices the generators use, which size the 2^n face
+    bytes and the 2^n-bit sets; variables in no generator cost nothing. The
+    test is ``check_cap``'s, after the unit, memo and zero-ideal tests. The
+    face bytes, the largest single object, are asked for before any set is
+    built, and a cap so high that they cannot be allocated is a
+    ``CapacityError`` too.
 
     ``memo``, an empty dict if given, is filled in place with the evaluation
     memo: each W whose Delta_W has homology, as a mask over the used vertices
@@ -603,29 +647,42 @@ def betti_hochster(
     used = _used_vertices(ideal)
     check_cap(ideal.n, len(used), cap)
     pos = {v: k for k, v in enumerate(used)}
-    gmasks = [sum(1 << pos[v] for v in g) for g in ideal.gens]
-    # covered[W]: the union of the generators inside W
+    gverts = [[pos[v] for v in g] for g in ideal.gens]
+    gmasks = [sum(1 << p for p in vs) for vs in gverts]
+    size = 1 << len(used)
     try:
-        covered = np.zeros(1 << len(used), dtype=np.int64)
-    except (MemoryError, ValueError) as exc:
+        # face[M]: 1 if the mask M is a face of Delta, else 0. The sum's
+        # largest object, asked for in one request before any set of masks
+        # is built, so a size no allocator meets is refused at once
+        face = bytearray(size)
+    except (MemoryError, OverflowError) as exc:
         raise CapacityError(
             f"the generators use {len(used)} vertices, and the 2^{len(used)} subset arrays "
             f"that --cap {cap} admits cannot be allocated"
         ) from exc
-    covered[gmasks] = gmasks
-    for b in range(len(used)):
-        halves = covered.reshape(-1, 2, 1 << b)
-        halves[:, 1] |= halves[:, 0]
-    is_face = covered == 0
-    survivors = np.flatnonzero(covered == np.arange(1 << len(used)))[1:]
-    # halves is a view: it would keep covered alive for the whole sum
-    del covered, halves
+    # sets of masks, each one int with bit M for the mask M
+    holds = list(_vertex_sets(len(used)))[::-1]
+    nonfaces, cover = 0, [0] * len(used)
+    for verts in gverts:
+        above = reduce(and_, map(holds.__getitem__, verts))
+        nonfaces |= above
+        for p in verts:
+            cover[p] |= above
+    # W is a cone, pruned, where it holds a vertex no generator inside it
+    # holds; the empty mask is no survivor either
+    pruned = 1
+    for p in range(len(used)):
+        pruned |= holds[p] & ~cover[p]
+    del holds, cover, above
+    every = (1 << size) - 1
+    survivors = np.flatnonzero(_flags(every ^ pruned, size))
+    is_face = np.frombuffer(face, dtype=bool)
+    is_face[:] = _flags(every ^ nonfaces, size)
+    del every, pruned, nonfaces
     collapse, lowest = _plan(survivors, gmasks, is_face, len(used))
+    del is_face
     # listed only now, as _plan's temporaries set the peak memory of a large sum
     masks = survivors.tolist()
-    # face[M]: 1 if the mask M is a face of Delta, else 0; the one copy of the flags
-    face = is_face.tobytes()
-    del is_face
 
     # a generator's support W is a sphere, written down: no rank and no rows
     gens = set(gmasks)

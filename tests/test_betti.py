@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -540,6 +541,34 @@ def test_face_index_is_built_once_and_only_when_a_link_is_ranked(tmp_path, capsy
         assert calls == built
 
 
+@st.composite
+def ranked_sets(draw):
+    """An ideal from ``ambient_ideals``, its face bytes over the used vertices and
+    a sorted list of distinct masks, as ``_face_index`` gets its W left to rank."""
+    i = draw(ambient_ideals())
+    nverts = len(set().union(*i.gens))
+    ranked = sorted(draw(st.sets(st.integers(0, (1 << nverts) - 1), max_size=6)))
+    return i, _faces_and_sizes(i)[0].tobytes(), ranked, nverts
+
+
+@given(ranked_sets())
+@settings(max_examples=80)
+# a bare variable, 0, is in no face; the ranked {0, 1} and {1, 2} share the face {1}
+@example((ideal(3, (0,), (1, 2)), bytes([1, 0, 1, 0, 1, 0, 0, 0]), [0b11, 0b110], 3))
+def test_face_index_lists_the_faces_inside_the_ranked_sets(case):
+    i, face, ranked, nverts = case
+    assert face == _faces_and_sizes(i)[0].tobytes()
+    ids, faces = betti._face_index(bytearray(face), ranked, nverts)
+    expected = [f for f in range(1, 1 << nverts) if face[f] and any(f & ~w == 0 for w in ranked)]
+    assert faces.tolist() == expected
+    # the empty face is column 0; the others are numbered per size in that order
+    numbered, counts = {0: 0}, {}
+    for f in expected:
+        numbered[f] = counts.get(f.bit_count(), 0)
+        counts[f.bit_count()] = numbered[f] + 1
+    assert ids == numbered
+
+
 def generator_supports(i):
     used = sorted(set().union(*i.gens))
     return {sum(1 << used.index(v) for v in g) for g in i.gens}
@@ -1068,18 +1097,38 @@ def test_capacity_errors():
     assert betti_hochster(ideal(DEFAULT_CAP + 1)).entries == ((0, 0, 1),)
 
 
+PATH64 = ideal(64, *[(k, k + 1, k + 2) for k in range(62)])
+
+
 def test_an_unallocatable_cap_is_a_capacity_error(monkeypatch):
-    # 2^64 masks exceed numpy's largest dimension, so nothing is allocated
-    path64 = ideal(64, *[(k, k + 1, k + 2) for k in range(62)])
+    # 2^64 face bytes exceed the largest object size, so nothing is allocated
     with pytest.raises(CapacityError, match=r"the generators use 64 vertices, and the 2\^64 .*--cap 64"):
-        betti_hochster(path64, cap=64)
+        betti_hochster(PATH64, cap=64)
 
     def refuse(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(betti.np, "zeros", refuse)
+    # the face bytes are the sum's first request of 2^n size
+    monkeypatch.setattr(betti, "bytearray", refuse, raising=False)
     with pytest.raises(CapacityError, match=r"the generators use 3 vertices, and the 2\^3 .*--cap 22"):
         betti_hochster(ideal(5, (0, 1, 2)))
+
+
+def test_an_unallocatable_cap_builds_no_set_of_masks(monkeypatch):
+    # the refusal comes before the first 2^n-bit int: one built here fails the
+    # test at once, where growing it would exhaust the memory
+    def built(nverts):
+        raise AssertionError(f"a set of the 2^{nverts} masks was built")
+
+    monkeypatch.setattr(betti, "_vertex_sets", built)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"the 2\^64 subset arrays that --cap 64 admits"):
+            betti_hochster(PATH64, cap=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_ses_bound_p4():

@@ -368,7 +368,7 @@ def test_capacity_exit_code_and_overrides(tmp_path, capsys, monkeypatch):
 
 
 def test_an_unallocatable_cap_exits_three(tmp_path, capsys, monkeypatch):
-    # 2^64 masks exceed numpy's largest dimension, so nothing is allocated
+    # 2^64 face bytes exceed the largest object size, so nothing is allocated
     path64 = tmp_path / "path64.txt"
     path64.write_text("".join(f"{k} {k + 1}\n" for k in range(63)))
     message = (
@@ -385,7 +385,8 @@ def test_an_unallocatable_cap_exits_three(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr("numpy.zeros", refuse)
+    # the face bytes are the sum's first request of 2^n size
+    monkeypatch.setattr("pathideals.betti.bytearray", refuse, raising=False)
     code, out, err = run(capsys, "reg", CATERPILLAR)
     assert (code, out) == (3, "")
     assert err.startswith("capacity error: the generators use 7 vertices, and the 2^7 subset arrays")
