@@ -355,16 +355,17 @@ def _join_series(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
 
 
 def _plan(
-    survivors: np.ndarray, gmasks: list[int], is_face: np.ndarray, nverts: int
+    survivors: np.ndarray, gmasks: list[int], gverts: list[list[int]], is_face: np.ndarray, nverts: int
 ) -> tuple[list[int], list[int]]:
     """How each surviving subset W gets its homology: two lists aligned with ``survivors``.
 
-    ``is_face[W]`` says whether W is a face of Delta (no generator lies
-    inside it), for every mask W, 0 included. The lists hold, per W, a
-    vertex v (a bit position) or -1, and the mask C of the component of W's
-    lowest vertex. The Poincare series sum_d dim H~_d t^(d+1) of Delta_W is
-    then, by the first rule that applies, that of a proper subset of W or
-    the product of two, smaller masks that come earlier:
+    ``gverts`` lists each generator's vertices (bit positions), aligned with
+    its mask in ``gmasks``. ``is_face[W]`` says whether W is a face of Delta
+    (no generator lies inside it), for every mask W, 0 included. The lists
+    hold, per W, a vertex v (a bit position) or -1, and the mask C of the
+    component of W's lowest vertex. The Poincare series sum_d dim H~_d
+    t^(d+1) of Delta_W is then, by the first rule that applies, that of a
+    proper subset of W or the product of two, smaller masks that come earlier:
 
     - v >= 0, the lowest vertex some u in W dominates in Delta_W: every face
       with v stays a face with u added, so Delta_W strong-collapses onto
@@ -394,14 +395,13 @@ def _plan(
     low = survivors.astype("<i8", copy=False).view(np.uint8).reshape(count, 8)[:, : (nverts + 7) // 8]
     by_vertex = np.ascontiguousarray(np.unpackbits(low, axis=1, count=nverts, bitorder="little").T)
     has = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(by_vertex, axis=1, bitorder="little")]
-    verts = [[p for p in range(nverts) if g >> p & 1] for g in gmasks]
-    inside = [reduce(and_, map(has.__getitem__, vs)) for vs in verts]
+    inside = [reduce(and_, map(has.__getitem__, vs)) for vs in gverts]
     vertex_bits = np.array([1 << p for p in range(nverts)], dtype=np.int64)
 
     # conflict[v][u]: the W in which u does not dominate v, i.e. some
     # generator g inside W has u in g and (g - u) + v a face of Delta
-    pairs = [(g_in, u) for g_in, vs in zip(inside, verts) for u in vs]
-    minus_u = np.array([g ^ 1 << u for g, vs in zip(gmasks, verts) for u in vs], dtype=np.int64)
+    pairs = [(g_in, u) for g_in, vs in zip(inside, gverts) for u in vs]
+    minus_u = np.array([g ^ 1 << u for g, vs in zip(gmasks, gverts) for u in vs], dtype=np.int64)
     conflict = [[0] * nverts for _ in range(nverts)]
     pair_at, vertex = np.nonzero(is_face[minus_u[:, None] | vertex_bits])
     for k, v in zip(pair_at.tolist(), vertex.tolist()):
@@ -425,7 +425,7 @@ def _plan(
     grown = True
     while grown:
         grown = False
-        for g_in, vs in zip(inside, verts):
+        for g_in, vs in zip(inside, gverts):
             touch, full = 0, g_in
             for p in vs:
                 touch |= comp[p]
@@ -679,7 +679,7 @@ def betti_hochster(
     is_face = np.frombuffer(face, dtype=bool)
     is_face[:] = _flags(every ^ nonfaces, size)
     del every, pruned, nonfaces
-    collapse, lowest = _plan(survivors, gmasks, is_face, len(used))
+    collapse, lowest = _plan(survivors, gmasks, gverts, is_face, len(used))
     del is_face
     # listed only now, as _plan's temporaries set the peak memory of a large sum
     masks = survivors.tolist()

@@ -47,6 +47,12 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
+    """One check's outcome on one graph, serialized by ``json_line`` and ``csv_row``.
+
+    ``graph`` is the graph's JSON object, built once per ``GraphContext`` and
+    shared by every report on that graph, so it is read-only, as memo values are.
+    """
+
     graph: dict
     source: str
     classification: str
@@ -67,7 +73,7 @@ class VerificationReport:
 
     def to_json_obj(self) -> dict:
         """Every field but ``elapsed``, so the bytes do not depend on timing."""
-        obj = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "elapsed"}
+        obj = {name: getattr(self, name) for name in _JSON_FIELDS}
         obj["checks"] = [{"name": c.name, "pass": c.passed, "details": c.details} for c in self.checks]
         return obj
 
@@ -91,6 +97,7 @@ class VerificationReport:
         )
 
 
+_JSON_FIELDS = tuple(f.name for f in fields(VerificationReport) if f.name != "elapsed")
 CSV_HEADER = "n,family,seed,reg,nu3,defect,pass"
 
 
@@ -113,10 +120,15 @@ class GraphContext:
     keeps, for each vertex set S asked for, their sub-sum over S: I3(G[S])'s table.
     That sub-sum depends on S only through the vertices some 3-path uses
     (``used``), so S is keyed by its part inside them, and I3(G)'s table by
-    ``used`` itself. Both last as long as the context: one ``reg`` command,
-    ``verify_graph`` call or batch instance. ``kind``, ``used`` (from the degrees)
-    and ``ideal`` are found on first read, so a table refuses an over-cap graph
-    before any 3-path is listed; a check that reads no table lists none.
+    ``used`` itself. ``colons`` keeps I3(G) : uv per edge uv, built by the
+    first check that asks (see ``edge_colon``), but only for a graph within the
+    cap: ``ses`` reads no colon of a graph whose table is refused.
+    ``graph_json``, the graph's JSON object, is built once and shared, read-only,
+    by every report on the graph. All of these last as long as the context: one
+    ``reg`` command, ``verify_graph`` call or batch instance. ``kind``, ``used``
+    (from the degrees) and ``ideal`` are found on first read, so a table
+    refuses an over-cap graph before any 3-path is listed; a check that reads
+    no table lists none.
     """
 
     graph: Graph
@@ -125,6 +137,7 @@ class GraphContext:
     source: str = "graph"
     tables: dict[frozenset[int], BettiTable] = field(init=False, default_factory=dict)
     memo: dict[int, dict[int, int]] = field(init=False, default_factory=dict)
+    colons: dict[frozenset[int], MonomialIdeal] = field(init=False, default_factory=dict)
 
     @cached_property
     def kind(self) -> str:
@@ -139,6 +152,24 @@ class GraphContext:
     def used(self) -> frozenset[int]:
         """The vertices on some 3-path: the variables of I3(G)."""
         return self.graph.three_path_vertices()
+
+    @cached_property
+    def graph_json(self) -> dict:
+        return graph_to_json_obj(self.graph)
+
+    def edge_colon(self, u: int, v: int) -> MonomialIdeal:
+        """I3(G) : uv, built once per edge while ``used`` is within the cap.
+
+        An over-cap graph keeps none: only the colon check reads its colons,
+        once per edge, and on a large graph they would all stay alive.
+        """
+        support = frozenset((u, v))
+        got = self.colons.get(support)
+        if got is None:
+            got = colon(self.ideal, support)
+            if len(self.used) <= self.cap:
+                self.colons[support] = got
+        return got
 
     def table(self, keep: Iterable[int] | None = None) -> BettiTable:
         """Betti table of R/I3(G[keep]), of R/I3(G) when ``keep`` is None, each set's once.
@@ -178,7 +209,7 @@ class GraphContext:
 
     def report(self, *checks: CheckResult, **extra) -> VerificationReport:
         return VerificationReport(
-            graph_to_json_obj(self.graph), self.source, self.kind, self.graph.n,
+            self.graph_json, self.source, self.kind, self.graph.n,
             checks=list(checks), **extra,
         )
 
@@ -221,7 +252,7 @@ def colon_identities(ctx: GraphContext, edge: tuple[int, int]) -> VerificationRe
     x, y = edge
     if not ctx.graph.has_edge(x, y):
         raise InputError(f"({x},{y}) is not an edge")
-    same = colon(ctx.ideal, {x, y}) == edge_colon_closed_form(ctx.graph, x, y)
+    same = ctx.edge_colon(x, y) == edge_colon_closed_form(ctx.graph, x, y)
     report = ctx.report(CheckResult("colon_by_edge", same, f"edge=({x},{y})"))
     with_edge = add_monomial(ctx.ideal, {x, y})
     for a, b in ((x, y), (y, x)):
@@ -236,12 +267,14 @@ def ses_edges(ctx: GraphContext, edges: Iterable[tuple[int, int]]) -> Verificati
     reg(R/I) <= max(reg(R/(I : uv)) + 2, reg(R/(I + uv))) holds at once when
     either side on the right reaches reg(R/I), so I + uv is ranked only when
     neither side does from I's own sub-sums. The colon side is one: see
-    ``GraphContext.reg``. For the sum side, with w in {u, v}, I + uv has
-    exactly the generators of I3(G - w) inside V - w, so its Hochster terms
-    there are those of I3(G - w), and reg(R/(I + uv)) >= reg(R/I3(G - w))
-    over every field. Both shortcuts are taken only when u and v lie in a
-    generator: then I + uv uses no vertex I does not, and cannot meet a cap
-    that I passed. Each vertex set's sub-sum is computed once per graph.
+    ``GraphContext.reg``; I : uv is the context's, built by the colon check if
+    that ran first (``GraphContext.edge_colon``). For the sum side, with w in
+    {u, v}, I + uv has exactly the generators of I3(G - w) inside V - w, so
+    its Hochster terms there are those of I3(G - w), and reg(R/(I + uv)) >=
+    reg(R/I3(G - w)) over every field. Both shortcuts are taken only when u
+    and v lie in a generator: then I + uv uses no vertex I does not, and
+    cannot meet a cap that I passed. Each vertex set's sub-sum is computed
+    once per graph.
 
     An edge uv lies in a generator exactly when deg u + deg v >= 3: a second
     neighbour of u or v extends uv to a 3-path, and a 3-path through u and v
@@ -255,7 +288,7 @@ def ses_edges(ctx: GraphContext, edges: Iterable[tuple[int, int]]) -> Verificati
     for u, v in todo:
         on_path = len(adj[u]) + len(adj[v]) >= 3
         if on_path and (
-            ctx.reg(colon(ctx.ideal, {u, v})) + 2 >= reg
+            ctx.reg(ctx.edge_colon(u, v)) + 2 >= reg
             or any(ctx.table(every - {w}).regularity() >= reg for w in (u, v))
         ):
             continue

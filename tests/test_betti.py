@@ -363,9 +363,11 @@ def captured_plan(i):
     seen = []
     original = betti._plan
 
-    def captured(survivors, gmasks, is_face, nverts):
-        plan = original(survivors, gmasks, is_face, nverts)
+    def captured(survivors, gmasks, gverts, is_face, nverts):
+        plan = original(survivors, gmasks, gverts, is_face, nverts)
         masks = survivors.tolist()
+        # each generator's vertex list names exactly the bits of its mask
+        assert [sorted(vs) for vs in gverts] == [[p for p in range(nverts) if g >> p & 1] for g in gmasks]
         seen.append((masks, gmasks, is_face.tolist(), nverts, plan_parts(masks, plan)))
         return plan
 

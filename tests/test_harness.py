@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -21,6 +22,7 @@ from pathideals.harness import (
     BatchSpec,
     CheckResult,
     GraphContext,
+    VerificationReport,
     betti_monotonicity,
     colon_identities,
     generate_instance,
@@ -186,6 +188,60 @@ def test_ses_takes_its_shortcuts_at_exactly_the_edges_on_a_3_path(graph):
         mp.setattr(harness, "colon", recorded)
         harness.ses_edges(GraphContext(graph), graph.edges)
     assert shortcut == [(u, v) for u, v in graph.edges if any(u in g and v in g for g in gens)]
+
+
+def assert_ses_reads_the_colon_checks_colons(graph):
+    """``ses`` on a context the colon check ran on first builds no colon and gives the same bytes."""
+    fresh, warm = GraphContext(graph), GraphContext(graph)
+    CHECKS["colon"].on_graph(warm)
+    assert set(warm.colons) == {frozenset(e) for e in graph.edges}
+    built = []
+
+    def recorded(ideal, mono):
+        built.append(tuple(sorted(mono)))
+        return colon(ideal, mono)
+
+    expected = reports_to_jsonl(CHECKS["ses"].on_graph(fresh))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "colon", recorded)
+        got = reports_to_jsonl(CHECKS["ses"].on_graph(warm))
+    assert got == expected
+    assert built == []
+
+
+@given(padded_graphs())
+@settings(max_examples=40)
+def test_ses_after_the_colon_check_reads_its_colons_and_changes_no_byte(graph):
+    assert_ses_reads_the_colon_checks_colons(graph)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_ses_after_the_colon_check_changes_no_byte_on_the_fixtures(name):
+    assert_ses_reads_the_colon_checks_colons(load_graph(fixture_path(f"{name}.txt")))
+
+
+@pytest.mark.parametrize("graph, cap", [
+    *((load_graph(fixture_path(f"{name}.txt")), 3) for name in FIXTURES),
+    (tree_from_rng(30, SplitMix64(1)), 22),
+], ids=[*FIXTURES, "tree30"])
+def test_a_graph_over_the_cap_keeps_no_edge_colon(graph, cap):
+    ctx = GraphContext(graph, cap=cap)
+    assert len(ctx.used) > cap
+    reports = CHECKS["colon"].on_graph(ctx)
+    assert ctx.colons == {}
+    # the colon check reads no table, so the cap changes none of its bytes
+    assert reports_to_jsonl(reports) == reports_to_jsonl(CHECKS["colon"].on_graph(GraphContext(graph, cap=64)))
+
+
+def test_the_reports_on_one_graph_share_its_json_object(caterpillar):
+    reports = verify_graph(caterpillar, "all")
+    assert len(reports) > 1
+    assert all(r.graph is reports[0].graph for r in reports)
+
+
+def test_report_json_keys_are_every_field_but_elapsed():
+    report = VerificationReport({"n": 0, "edges": []}, "graph", "forest", 0)
+    assert list(report.to_json_obj()) == [f.name for f in dataclasses.fields(report) if f.name != "elapsed"]
 
 
 def assert_subgraph_tables_are_fresh_tables(graph, field, subsets, reference=betti_hochster):
