@@ -32,7 +32,6 @@ from .ideals import (
     add_monomial,
     colon,
     edge_colon_closed_form,
-    minimalize,
     path_ideal,
     vertex_colon_closed_form,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "edge_colon_closed_form",
     "find_broom_vertex",
     "load_graph",
-    "minimalize",
     "nu3",
     "parse_edge_list",
     "parse_graph",

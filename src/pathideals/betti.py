@@ -26,13 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .ideals import MonomialIdeal, add_monomial, colon
+from .ideals import MonomialIdeal, add_monomial, colon, vertices_of
 
 DEFAULT_CAP = 22
 CAP_ENV_VAR = "PATHIDEALS_CAP"
@@ -454,7 +454,7 @@ def _plan(
 
 def _used_vertices(ideal: MonomialIdeal) -> list[int]:
     """The variables in some generator, in sorted order: bit k of a mask is the k-th."""
-    return sorted(set().union(*ideal.gens))
+    return vertices_of(reduce(or_, ideal.masks, 0))
 
 
 def _table_of(series_by_mask: Iterable[tuple[int, Mapping[int, int]]]) -> BettiTable:
@@ -647,7 +647,7 @@ def betti_hochster(
     used = _used_vertices(ideal)
     check_cap(ideal.n, len(used), cap)
     pos = {v: k for k, v in enumerate(used)}
-    gverts = [[pos[v] for v in g] for g in ideal.gens]
+    gverts = [[pos[v] for v in vertices_of(g)] for g in ideal.masks]
     gmasks = [sum(1 << p for p in vs) for vs in gverts]
     size = 1 << len(used)
     try:

@@ -67,13 +67,13 @@ def cmd_paths(args) -> int:
         obj = {
             "t": args.t,
             "paths": [list(p) for p in paths],
-            "generators": len(ideal.gens),
+            "generators": len(ideal.masks),
         }
         print(json.dumps(obj, sort_keys=True))
     else:
         for p in paths:
             print(_path_token(graph, p))
-        print(f"{len(paths)} path(s) on {args.t} vertices; {len(ideal.gens)} ideal generator(s)")
+        print(f"{len(paths)} path(s) on {args.t} vertices; {len(ideal.masks)} ideal generator(s)")
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .errors import InputError, NoBroomVertexError
@@ -124,6 +125,16 @@ class Graph:
         """
         middles = [v for v in range(self.n) if len(self.adj[v]) >= 2]
         return frozenset(middles).union(*(self.adj[v] for v in middles))
+
+    @cached_property
+    def adj_masks(self) -> tuple[int, ...]:
+        """Each vertex's neighbours as a bitmask, bit w set for the neighbour w; built on first read."""
+        return tuple(sum(1 << w for w in nb) for nb in self.adj)
+
+    @cached_property
+    def three_path_masks(self) -> frozenset[int]:
+        """The vertex supports of the 3-paths as bitmasks, bit v set for the vertex v; built on first read."""
+        return frozenset(1 << a | 1 << b | 1 << c for a, b, c in self.three_paths())
 
     def t_paths(self, t: int) -> list[tuple[int, ...]]:
         """Paths on t vertices for t in {2, 3}; t=2 is the edge list."""

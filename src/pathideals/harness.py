@@ -13,7 +13,8 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Callable, Iterable
 
 from .betti import (
@@ -30,6 +31,7 @@ from .ideals import (
     edge_colon_closed_form,
     path_ideal,
     vertex_colon_closed_form,
+    vertices_of,
 )
 from .matching import check_nu3_broom_drop, nu3
 
@@ -197,10 +199,10 @@ class GraphContext:
         together, so reg(R/J) is the sub-sum's over S (a set test on J). Any
         other J, in production only I3(G) + uv, gets its own uncached sum.
         """
-        rest = {g for g in ideal.gens if len(g) != 1}
-        span = frozenset().union(*rest)
-        if rest == {g for g in self.ideal.gens if g <= span}:
-            return self.table(span).regularity()
+        rest = {g for g in ideal.masks if g.bit_count() != 1}
+        span = reduce(or_, rest, 0)
+        if rest == {g for g in self.ideal.masks if not g & ~span}:
+            return self.table(vertices_of(span)).regularity()
         return betti_hochster(ideal, self.field_, cap=self.cap).regularity()
 
     @cached_property

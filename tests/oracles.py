@@ -20,6 +20,10 @@ code and are conveniences, not references: ``add_vars`` and
 ``Graph.three_paths_within``, ``regularity`` reads ``betti_hochster``, and
 ``edges_within`` filters ``Graph.edges``.
 
+The ideal arithmetic the package runs on bitmasks (``minimalize``, the
+colon, the sum with a monomial and the two closed colon forms) is redone
+here on frozensets of vertex ids, the package's former representation.
+
 The reduced Euler characteristics of every induced subcomplex and the
 K-polynomial, both counted from the generators alone, referee the Hochster
 memo and the Betti tables at sizes no homology oracle reaches. So do the
@@ -69,6 +73,61 @@ def path_ideal_within(graph: Graph, vertices: Iterable[int], t: int) -> Monomial
     """Path ideal of an induced subgraph, kept in the ambient of the host graph; t = 3 only."""
     assert t == 3, f"t={t} unsupported; only t = 3"
     return MonomialIdeal(graph.n, frozenset(frozenset(p) for p in graph.three_paths_within(vertices)))
+
+
+# -- ideal arithmetic on vertex supports ------------------------------------------------
+#
+# The package keeps generators as bitmasks; these referees work on supports,
+# frozensets of vertex ids, and return the minimal supports of the answer.
+
+
+def minimalize(gens: Iterable[Iterable[int]]) -> frozenset[frozenset[int]]:
+    """Unique minimal generating set: drop every support containing another."""
+    supports = sorted({frozenset(g) for g in gens}, key=len)
+    keep: list[frozenset[int]] = []
+    # keep[:smaller] are the kept supports smaller than g: two distinct
+    # supports of one size never contain each other
+    smaller = 0
+    for g in supports:
+        if keep and len(keep[-1]) < len(g):
+            smaller = len(keep)
+        if not any(map(g.issuperset, keep[:smaller])):
+            keep.append(g)
+    return frozenset(keep)
+
+
+def colon_supports(ideal: MonomialIdeal, m: Iterable[int]) -> frozenset[frozenset[int]]:
+    """(I : m): strip m from every generator."""
+    support = frozenset(m)
+    return minimalize(g - support for g in ideal.gens)
+
+
+def add_monomial_supports(ideal: MonomialIdeal, m: Iterable[int]) -> frozenset[frozenset[int]]:
+    """I + <m>."""
+    return minimalize(ideal.gens | {frozenset(m)})
+
+
+def edge_colon_supports(graph: Graph, u: int, v: int) -> frozenset[frozenset[int]]:
+    """I3(G) : uv as the variables adjacent to the edge plus I3(G - N[uv])."""
+    ne = graph.edge_neighborhood(u, v)
+    rest = set(range(graph.n)) - graph.closed_edge_neighborhood(u, v)
+    gens = {frozenset({w}) for w in ne} | {frozenset(p) for p in graph.three_paths_within(rest)}
+    return minimalize(gens)
+
+
+def vertex_colon_supports(graph: Graph, x: int, y: int) -> frozenset[frozenset[int]]:
+    """(I3(G) + <xy>) : x as <y> + I(H) + I3(G - N[x]).
+
+    H is the neighborhood edge set of x together with the complete graph on N(x) - {y}.
+    """
+    h_edges = {frozenset(e) for e in graph.neighborhood_edge_set(x)}
+    others = sorted(graph.neighbors(x) - {y})
+    for i in range(len(others)):
+        for k in range(i + 1, len(others)):
+            h_edges.add(frozenset((others[i], others[k])))
+    rest = set(range(graph.n)) - graph.closed_neighbors(x)
+    gens = {frozenset({y})} | h_edges | {frozenset(p) for p in graph.three_paths_within(rest)}
+    return minimalize(gens)
 
 
 NEG_INF = float("-inf")

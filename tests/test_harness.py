@@ -10,12 +10,12 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pathideals.betti import GF2, GF3, QQ, BettiTable, betti_hochster, restricted_table
+from pathideals.betti import DEFAULT_CAP, GF2, GF3, QQ, BettiTable, betti_hochster, restricted_table
 from pathideals.cli import main
 from pathideals.errors import CapacityError, InputError
 from pathideals.generators import SplitMix64, graph_from_rng, tree_from_rng, unicyclic_from_rng
 from pathideals.graphs import Graph, classify, graph_from_json_obj, load_graph
-from pathideals import harness
+from pathideals import harness, ideals
 from pathideals.harness import (
     CHECKS,
     WHICH_CHOICES,
@@ -231,6 +231,26 @@ def test_a_graph_over_the_cap_keeps_no_edge_colon(graph, cap):
     assert ctx.colons == {}
     # the colon check reads no table, so the cap changes none of its bytes
     assert reports_to_jsonl(reports) == reports_to_jsonl(CHECKS["colon"].on_graph(GraphContext(graph, cap=64)))
+
+
+@pytest.mark.parametrize("graph", [
+    *(load_graph(fixture_path(f"{name}.txt")) for name in FIXTURES),
+    tree_from_rng(30, SplitMix64(1)),
+], ids=[*FIXTURES, "tree30"])
+def test_the_colon_check_and_the_tables_build_no_generator_supports(graph, monkeypatch):
+    built = []
+    real = ideals._supports
+    monkeypatch.setattr(ideals, "_supports", lambda masks: built.append(masks) or real(masks))
+    verify_graph(graph, "colon")
+    if graph.n <= DEFAULT_CAP:
+        # I3(G)'s table, a sub-sum's and the colon's set test in GraphContext.reg
+        ctx = GraphContext(graph)
+        ctx.table()
+        ctx.table(range(1, graph.n))
+        ctx.reg(ctx.edge_colon(*graph.edges[0]))
+    assert built == []
+    # reading gens goes through the patched _supports
+    assert path_ideal(graph, 3).gens and len(built) == 1
 
 
 def test_the_reports_on_one_graph_share_its_json_object(caterpillar):

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -9,12 +11,20 @@ from pathideals.ideals import (
     add_monomial,
     colon,
     edge_colon_closed_form,
-    minimalize,
     path_ideal,
     vertex_colon_closed_form,
 )
 
-from oracles import add_vars, path_ideal_within
+from oracles import (
+    add_monomial_supports,
+    add_vars,
+    colon_supports,
+    edge_colon_supports,
+    enumerate_3paths_brute,
+    minimalize,
+    path_ideal_within,
+    vertex_colon_supports,
+)
 
 P3 = Graph(3, ((0, 1), (1, 2)))
 P4 = Graph(4, ((0, 1), (1, 2), (2, 3)))
@@ -173,3 +183,126 @@ def test_path_ideal_within_keeps_ambient(caterpillar):
     assert sub.n == caterpillar.n
     assert sub == ideal(7, (0, 1, 6))
     assert path_ideal_within(caterpillar, set(), 3).is_zero
+
+
+# -- the bitmask arithmetic against the support referees in oracles -------------------
+
+
+def assert_ideal_is(got, n, want):
+    """``got`` has the minimal supports ``want``: as its ``gens``, and as an equal, equal-hashing ideal."""
+    ref = MonomialIdeal(n, want)
+    assert got.n == n
+    assert got.gens == want
+    assert got == ref and hash(got) == hash(ref)
+
+
+# the variables drawn in an ambient of one machine word and in one of three,
+# where masks span several words
+VARIABLES = {7: [0, 1, 2, 5, 6], 130: [0, 1, 2, 63, 64, 65, 100, 129]}
+ambients = st.sampled_from(sorted(VARIABLES))
+
+
+def supports_in(n):
+    return st.sets(st.sampled_from(VARIABLES[n]), max_size=4)
+
+
+def ideals_in(n):
+    # the empty support among them, so unit ideals, and no support, so the zero ideal
+    return st.lists(supports_in(n), max_size=6).map(lambda gens: (gens, MonomialIdeal(n, gens)))
+
+
+@given(ambients.flatmap(lambda n: st.tuples(st.just(n), ideals_in(n))))
+@example((7, ([], MonomialIdeal(7, []))))
+@example((7, ([set()], MonomialIdeal(7, [set()]))))
+@example((130, ([{129}, {0, 129}, {64, 65}, {0}], MonomialIdeal(130, [{129}, {0, 129}, {64, 65}, {0}]))))
+def test_construction_matches_the_referee(case):
+    n, (gens, got) = case
+    assert_ideal_is(got, n, minimalize(gens))
+    assert got.is_zero == (not gens)
+    assert got.is_unit == (set() in gens)
+
+
+@given(ambients.flatmap(lambda n: st.tuples(st.just(n), ideals_in(n), supports_in(n))))
+@example((7, ([{0, 1}], MonomialIdeal(7, [{0, 1}])), set()))
+@example((7, ([], MonomialIdeal(7, [])), {1}))
+@example((130, ([set()], MonomialIdeal(130, [set()])), {64}))
+@example((130, ([{64, 129}, {1, 64}], MonomialIdeal(130, [{64, 129}, {1, 64}])), {64, 129}))
+def test_colon_and_add_monomial_match_the_referees(case):
+    n, (_, ideal_), m = case
+    assert_ideal_is(colon(ideal_, m), n, colon_supports(ideal_, m))
+    assert_ideal_is(add_monomial(ideal_, m), n, add_monomial_supports(ideal_, m))
+
+
+def shifted(graph, shift, pad):
+    """``graph`` with every vertex id raised by ``shift`` and ``pad`` isolated vertices after it."""
+    return Graph(graph.n + shift + pad, tuple((u + shift, v + shift) for u, v in graph.edges))
+
+
+padded_graphs = st.builds(
+    shifted,
+    st.builds(random_graph, st.integers(2, 8), st.sampled_from([0.3, 0.5, 0.8]), st.integers(0, 10**9)),
+    # isolated vertices below the graph, up to ids above 63
+    st.sampled_from([0, 2, 64, 120]),
+    st.integers(0, 3),
+).filter(lambda g: g.edges)
+
+
+@given(padded_graphs)
+@example(shifted(P4, 64, 2))
+@example(shifted(Graph(2, ((0, 1),)), 0, 1))
+def test_path_ideal_and_closed_forms_match_the_referees(g):
+    assert_ideal_is(path_ideal(g, 3), g.n, minimalize(enumerate_3paths_brute(g)))
+    assert_ideal_is(path_ideal(g, 2), g.n, minimalize(g.edges))
+    for u, v in g.edges:
+        assert_ideal_is(edge_colon_closed_form(g, u, v), g.n, edge_colon_supports(g, u, v))
+        for x, y in ((u, v), (v, u)):
+            assert_ideal_is(vertex_colon_closed_form(g, x, y), g.n, vertex_colon_supports(g, x, y))
+
+
+# -- the constructor at its edges --------------------------------------------------------
+
+
+def test_range_is_checked_only_on_minimal_generators():
+    assert MonomialIdeal(3, [{0}, {0, -1}]) == ideal(3, (0,))
+    assert MonomialIdeal(3, [{0}, {0, 7}]) == ideal(3, (0,))
+    assert add_monomial(MonomialIdeal(3, [{0}]), {0, 9}) == ideal(3, (0,))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MonomialIdeal(3, [{-1}]),
+        lambda: MonomialIdeal(3, [{0, 1}, {-1, 2}]),
+        lambda: MonomialIdeal(3, [{-1}, {-1, 0}]),
+        lambda: add_monomial(ideal(3, (1,)), {0, -1}),
+        lambda: colon(ideal(3, (0,)), {-1}),
+    ],
+    ids=["alone", "same-size", "below-a-larger", "added", "colon"],
+)
+def test_a_negative_variable_in_a_minimal_generator_is_an_input_error(build):
+    with pytest.raises(InputError, match=r"^variable -1 out of ambient range n=3$"):
+        build()
+
+
+def test_equal_ideals_hash_equal():
+    a = MonomialIdeal(5, [{0, 1}, {0, 1, 2}, {3}])
+    b = MonomialIdeal(5, ({3}, {1, 0}, {3, 4}))
+    c = colon(ideal(5, (0, 1, 4), (3, 4)), {4})
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c)
+    assert len({a, b, c}) == 1
+    assert ideal(5, (0,)) != ideal(6, (0,))
+
+
+@pytest.mark.parametrize("name", ["n", "gens", "other"])
+def test_setting_an_attribute_raises(name):
+    i = ideal(3, (0, 1))
+    with pytest.raises(AttributeError):
+        setattr(i, name, 4)
+    assert i == ideal(3, (0, 1))
+
+
+def test_an_ideal_survives_pickling():
+    i = ideal(130, (0, 129), (64,))
+    assert pickle.loads(pickle.dumps(i)) == i
+    assert pickle.loads(pickle.dumps(i)).gens == i.gens

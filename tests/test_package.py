@@ -10,14 +10,14 @@ PUBLIC_NAMES = {
     "InputError", "MatchingCertificate", "MonomialIdeal", "NoBroomVertexError",
     "PathIdealsError", "QQ", "add_monomial", "betti_hochster",
     "check_nu3_broom_drop", "classify", "colon", "edge_colon_closed_form", "find_broom_vertex",
-    "load_graph", "minimalize", "nu3", "parse_edge_list", "parse_graph", "path_ideal",
+    "load_graph", "nu3", "parse_edge_list", "parse_graph", "path_ideal",
     "random_graph", "random_tree", "random_unicyclic",
     "to_edge_list", "vertex_colon_closed_form",
 }
 
 
 def test_public_names_are_exactly_the_exports_and_all_resolve():
-    assert len(pathideals.__all__) == len(PUBLIC_NAMES) == 31
+    assert len(pathideals.__all__) == len(PUBLIC_NAMES) == 30
     assert set(pathideals.__all__) == PUBLIC_NAMES
     for name in pathideals.__all__:
         assert getattr(pathideals, name) is not None, name
