@@ -20,7 +20,7 @@ from functools import cache
 # betti_hochster is read only by the (cli, betti_hochster) binding in perfbench/tracing.py
 from .betti import CAP_ENV_VAR, DEFAULT_CAP, FieldSpec, betti_hochster
 from .errors import CapacityError, InputError
-from .graphs import Graph, graph_from_json_obj, load_graph, to_edge_list
+from .graphs import Graph, load_graph
 from .harness import (
     FAMILIES, WHICH_CHOICES, BatchSpec, GraphContext, reports_to_csv, reports_to_jsonl, run_batch,
     verify_graph,
@@ -175,8 +175,8 @@ def cmd_search(args) -> int:
     _write(os.path.join(args.out, "histogram.csv"), histogram_text)
     _write(os.path.join(args.out, "reports.jsonl"), reports_to_jsonl(reports))
     for (n, defect), graph in sorted(exemplars.items()):
-        path = os.path.join(args.out, f"{spec.family}_n{n}_defect{defect}.txt")
-        _write(path, to_edge_list(graph_from_json_obj(graph)))
+        path = os.path.join(args.out, f"{spec.family}_n{n}_defect{defect}.json")
+        _write(path, json.dumps(graph, sort_keys=True) + "\n")
     sys.stdout.write(histogram_text)
     return _exit_status(reports)
 

@@ -3,12 +3,15 @@
 A squarefree monomial in the variables ``{0..n-1}`` is a bitmask, bit v set
 when x_v divides it, so divisibility is containment of bits (``a & ~b == 0``).
 The mask 0 is the monomial 1: the unit ideal is ``{0}`` and the zero ideal
-has no generators. ``MonomialIdeal.gens`` views the same minimal generators
-as vertex supports, ``frozenset[int]`` each, built only when first read.
+has no generators. ``MonomialIdeal`` is a frozen dataclass over ``n`` and
+the minimal ``masks``; its ``gens`` views the same minimal generators as
+vertex supports, ``frozenset[int]`` each, built on first read and cached.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .errors import InputError
@@ -59,18 +62,19 @@ def _supports(masks: frozenset[int]) -> frozenset[Monomial]:
     return frozenset(frozenset(vertices_of(m)) for m in masks)
 
 
+@dataclass(frozen=True, init=False)
 class MonomialIdeal:
     """Squarefree monomial ideal; generators are minimalized on construction.
 
     ``MonomialIdeal(n, gens)`` takes the generators as vertex supports. Only
     the minimal ones must lie in ``{0..n-1}``: a support that contains
     another is dropped before the range is checked. ``masks`` holds the
-    minimal generators as bitmasks, and ``gens`` is their view as supports.
-    Equality of instances is equality of ideals, since the minimal
-    squarefree generating set is unique. Instances are read-only.
+    minimal generators as bitmasks, and ``gens`` is their view as supports,
+    cached on first read. Equality of instances is equality of ideals, since
+    the minimal squarefree generating set is unique. A frozen dataclass over
+    ``n`` and ``masks``: instances are read-only, and equality and hashing
+    go by those two fields.
     """
-
-    __slots__ = ("n", "masks", "_gens")
 
     n: int
     masks: frozenset[int]
@@ -103,15 +107,10 @@ class MonomialIdeal:
         object.__setattr__(ideal, "masks", masks)
         return ideal
 
-    @property
+    @cached_property
     def gens(self) -> frozenset[Monomial]:
         """The minimal generators as vertex supports, built on first read."""
-        try:
-            return self._gens
-        except AttributeError:
-            gens = _supports(self.masks)
-            object.__setattr__(self, "_gens", gens)
-            return gens
+        return _supports(self.masks)
 
     @property
     def is_zero(self) -> bool:
@@ -121,25 +120,8 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return 0 in self.masks
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.masks == other.masks
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.masks))
-
     def __repr__(self) -> str:
         return f"MonomialIdeal(n={self.n!r}, gens={self.gens!r})"
-
-    def __reduce__(self):
-        return MonomialIdeal._of, (self.n, self.masks)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a MonomialIdeal")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of a MonomialIdeal")
 
 
 def colon(ideal: MonomialIdeal, m: Iterable[int]) -> MonomialIdeal:

@@ -10,7 +10,7 @@ from pathideals import cli, harness
 from pathideals.betti import DEFAULT_CAP
 from pathideals.cli import main
 from pathideals.generators import random_tree
-from pathideals.graphs import to_edge_list
+from pathideals.graphs import graph_to_json_obj, load_graph, to_edge_list
 from pathideals.ideals import path_ideal
 
 from conftest import fixture_path
@@ -191,9 +191,34 @@ def test_search_writes_histogram_and_exemplars(tmp_path, capsys):
     assert (out_dir / "reports.jsonl").exists()
     header = json.loads((out_dir / "batch.json").read_text())
     assert header == {"family": "unicyclic", "n": "5..7", "count": 9, "seed": 1, "field": "gf2"}
-    exemplars = sorted(p.name for p in out_dir.glob("unicyclic_n*_defect*.txt"))
+    exemplars = sorted(p.name for p in out_dir.glob("unicyclic_n*_defect*.json"))
     assert exemplars
     assert out.startswith("defect,count")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [("random", "1..9", "40", "3"), ("tree", "1..3", "6", "0")],
+    ids=["random", "tree"],
+)
+def test_search_exemplars_reload_as_their_graphs(tmp_path, capsys, spec):
+    # an edge list drops isolated vertices, and its reload renumbers the rest
+    family, n_range, count, seed = spec
+    out_dir = tmp_path / "out"
+    code, _, _ = run(
+        capsys, "search", "--family", family, "--n", n_range, "--count", count, "--seed", seed, "--out", str(out_dir)
+    )
+    assert code == 0
+    first: dict = {}
+    for line in (out_dir / "reports.jsonl").read_text().splitlines():
+        report = json.loads(line)
+        if report["defect"] is not None:
+            first.setdefault((report["n"], report["defect"]), report["graph"])
+    reloaded = {}
+    for path in out_dir.glob(f"{family}_n*_defect*.*"):
+        n, defect = path.stem.removeprefix(f"{family}_n").split("_defect")
+        reloaded[int(n), int(defect)] = graph_to_json_obj(load_graph(str(path)))
+    assert reloaded == first
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])

@@ -701,14 +701,14 @@ def test_search_defect_histogram_and_exemplars(tmp_path):
     argv = ["search", "--family", "tree", "--n", "4..7", "--count", "12", "--seed", "5"]
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert (tmp_path / "histogram.csv").read_text() == "defect,count\n0,12\n"
-    assert sorted(p.name for p in tmp_path.glob("tree_n*_defect*.txt")) == [
-        "tree_n4_defect0.txt",
-        "tree_n5_defect0.txt",
-        "tree_n6_defect0.txt",
-        "tree_n7_defect0.txt",
+    assert sorted(p.name for p in tmp_path.glob("tree_n*_defect*.json")) == [
+        "tree_n4_defect0.json",
+        "tree_n5_defect0.json",
+        "tree_n6_defect0.json",
+        "tree_n7_defect0.json",
     ]
-    text = (tmp_path / "tree_n4_defect0.txt").read_text()
-    assert len(text.strip().splitlines()) == 3  # a 4-vertex tree has 3 edges
+    graph = json.loads((tmp_path / "tree_n4_defect0.json").read_text())
+    assert graph["n"] == 4 and len(graph["edges"]) == 3  # a 4-vertex tree has 3 edges
 
 
 def test_verify_graph_all_computes_each_betti_table_once(monkeypatch, c7_tail):

@@ -306,3 +306,32 @@ def test_an_ideal_survives_pickling():
     i = ideal(130, (0, 129), (64,))
     assert pickle.loads(pickle.dumps(i)) == i
     assert pickle.loads(pickle.dumps(i)).gens == i.gens
+
+
+@pytest.mark.parametrize("name", ["n", "masks", "gens"])
+def test_deleting_an_attribute_raises(name):
+    i = ideal(3, (0, 1))
+    assert i.gens
+    with pytest.raises(AttributeError):
+        delattr(i, name)
+    assert (i.n, i.masks, i.gens) == (3, frozenset({0b011}), frozenset({frozenset({0, 1})}))
+
+
+def test_repr_shows_the_generators_as_supports():
+    assert repr(MonomialIdeal(3, [{0, 1}])) == "MonomialIdeal(n=3, gens=frozenset({frozenset({0, 1})}))"
+
+
+def test_gens_is_built_once():
+    i = ideal(4, (0, 1), (2, 3))
+    assert i.gens is i.gens
+
+
+def test_reading_gens_leaves_equality_hash_and_pickling_alone():
+    read, unread = ideal(130, (0, 129), (64,)), ideal(130, (0, 129), (64,))
+    assert read.gens
+    assert read == unread and unread == read
+    assert hash(read) == hash(unread)
+    for i in (read, unread):
+        copy = pickle.loads(pickle.dumps(i))
+        assert copy == read and copy == unread and hash(copy) == hash(unread)
+        assert copy.gens == read.gens

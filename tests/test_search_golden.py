@@ -4,7 +4,9 @@ Each line of data/search_golden.jsonl holds one command (the three families,
 a gf3 run, a --cap 5 batch with an errored instance, --jobs 2 and --count 0)
 with the exit code, the sha256 of its stdout and stderr, and the sha256 of
 every file it wrote under --out, all recorded before the defect summary moved
-from the harness into the search command. The test appends --out itself.
+from the harness into the search command. The exemplar files' digests were
+recorded again when exemplars became graph JSON, the rest were left as they
+were. The test appends --out itself.
 """
 
 import hashlib
