@@ -10,10 +10,12 @@ complexes are ranked. ``betti_hochster``'s docstring is the one account of
 the algorithm. The test suite referees it with an independent upper-Koszul
 oracle.
 
-The memo of nonzero series is the sum's own record of its terms. Handed to
-``restricted_table``, it gives the table of the ideal generated by the
-generators inside any vertex set S, as the sub-sum over W inside S, with no
-homology computed: the Betti table of an induced subgraph's path ideal.
+The memo of nonzero series is the sum's own record of its terms.
+``hochster_terms`` lists them once, each with the Betti positions it adds
+to; ``sub_table`` then gives the table of the ideal generated by the
+generators inside any vertex set S, as the sub-sum over W inside S, in one
+filter pass over that list with no homology computed: the Betti table of an
+induced subgraph's path ideal.
 
 Ranks are exact and come from one reduction by leading column, in two
 kernels: rows packed as int bitsets over GF(2), and sparse {column: entry}
@@ -23,6 +25,7 @@ pivot other than +-1).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -311,8 +314,8 @@ class BettiTable:
         return max(i for i, _, _ in self.entries)
 
     def entrywise_leq(self, other: "BettiTable") -> bool:
-        mine, theirs = self.as_dict(), other.as_dict()
-        return all(b <= theirs.get(key, 0) for key, b in mine.items())
+        theirs = other.as_dict()
+        return all(b <= theirs.get((i, j), 0) for i, j, b in self.entries)
 
     def to_json_obj(self, field: FieldSpec) -> dict:
         return {
@@ -628,11 +631,11 @@ def betti_hochster(
 
     ``memo``, an empty dict if given, is filled in place with the evaluation
     memo: each W whose Delta_W has homology, as a mask over the used vertices
-    in sorted order, maps to its series. ``restricted_table`` sums it over the
-    subsets of a vertex set. Its values are shared between entries (a
-    collapse W maps to W - v's own dict), so they are read-only. A non-empty
-    memo is an ``InputError``: its entries would steer the descent and
-    join the sum.
+    in sorted order, maps to its series. ``hochster_terms`` lists it for
+    ``sub_table``, which sums it over the subsets of a vertex set. Its values
+    are shared between entries (a collapse W maps to W - v's own dict), so
+    they are read-only. A non-empty memo is an ``InputError``: its entries
+    would steer the descent and join the sum.
     """
     if ideal.is_unit:
         raise InputError("Betti table of the unit ideal is not defined")
@@ -762,20 +765,45 @@ def betti_hochster(
     return _table_of(memo.items())
 
 
-def restricted_table(
-    ideal: MonomialIdeal, memo: Mapping[int, Mapping[int, int]], keep: Iterable[int]
-) -> BettiTable:
-    """Betti table of R/J, J generated by the generators of ``ideal`` inside ``keep``.
+@dataclass(frozen=True)
+class HochsterTerms:
+    """The terms of one ideal's Hochster sum, listed once for its sub-sums (``sub_table``).
 
-    ``memo`` is the one ``betti_hochster`` filled for ``ideal``. For W inside
-    ``keep`` the generators inside W are the same for J as for I, so Delta_W
-    is too, and Hochster's sum for J is the sub-sum of I's terms over those W
-    (for a path ideal, J is the path ideal of the induced subgraph on
-    ``keep``). The field is the memo's.
+    ``bits`` maps each vertex the generators use to its bit in a memo mask.
+    ``by_key`` pairs each Betti position (i, j) with the (W, h) terms that
+    add h to it: the memo series of W has h at t^(j - i), and |W| = j. A
+    memo entry is listed once per degree of its series, so a sub-sum reads
+    no series and counts no bits.
     """
-    keep = set(keep)
-    mask = sum(1 << k for k, v in enumerate(_used_vertices(ideal)) if v in keep)
-    return _table_of((w, series) for w, series in memo.items() if not w & ~mask)
+
+    bits: Mapping[int, int]
+    by_key: tuple[tuple[tuple[int, int], list[tuple[int, int]]], ...]
+
+
+def hochster_terms(ideal: MonomialIdeal, memo: Mapping[int, Mapping[int, int]]) -> HochsterTerms:
+    """The terms of the memo ``betti_hochster`` filled for ``ideal``; the memo is only read."""
+    by_key: defaultdict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
+    for w, series in memo.items():
+        size = w.bit_count()
+        for k, h in series.items():
+            by_key[size - k, size].append((w, h))
+    return HochsterTerms({v: 1 << k for k, v in enumerate(_used_vertices(ideal))}, tuple(by_key.items()))
+
+
+def sub_table(terms: HochsterTerms, keep: Iterable[int]) -> BettiTable:
+    """Betti table of R/J, J generated by the generators of the terms' ideal inside ``keep``.
+
+    For W inside ``keep`` the generators inside W are the same for J as for
+    I, so Delta_W is too, and Hochster's sum for J is the sub-sum of I's
+    terms over those W (for a path ideal, J is the path ideal of the induced
+    subgraph on ``keep``). The field is the memo's.
+    """
+    bits = terms.bits
+    outside = ~sum([bits[v] for v in set(keep) if v in bits])
+    # a position no term inside ``keep`` reaches sums to 0, which BettiTable drops
+    return BettiTable(((0, 0, 1), *[
+        (i, j, sum([h for w, h in pairs if not w & outside])) for (i, j), pairs in terms.by_key
+    ]))
 
 
 # -- the short-exact-sequence bound -----------------------------------------------

@@ -18,8 +18,8 @@ from operator import or_
 from typing import Callable, Iterable
 
 from .betti import (
-    DEFAULT_CAP, GF2, BettiTable, FieldSpec, SesBoundReport, betti_hochster, check_cap,
-    restricted_table,
+    DEFAULT_CAP, GF2, BettiTable, FieldSpec, HochsterTerms, SesBoundReport, betti_hochster,
+    check_cap, hochster_terms, sub_table,
 )
 from .errors import CapacityError, InputError, PathIdealsError
 from .generators import SplitMix64, graph_from_rng, tree_from_rng, unicyclic_from_rng
@@ -38,6 +38,8 @@ from .matching import check_nu3_broom_drop, nu3
 FAMILIES = ("tree", "unicyclic", "random")
 # edge probabilities of the random family, cycled over the instances
 P_VALUES = (0.2, 0.4)
+# the report lines' encoding: sorted keys, no spaces; made once
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,7 @@ class VerificationReport:
         return obj
 
     def json_line(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        return _ENCODER.encode(self.to_json_obj())
 
     def csv_row(self) -> str:
         def cell(x):
@@ -104,7 +106,31 @@ CSV_HEADER = "n,family,seed,reg,nu3,defect,pass"
 
 
 def reports_to_jsonl(reports: Iterable[VerificationReport]) -> str:
-    return "".join(r.json_line() + "\n" for r in reports)
+    """Each report's ``json_line`` and a newline, with each graph encoded once.
+
+    The reports of one graph come in a run and share one ``graph`` dict. The
+    first line of a run is encoded whole; its graph part, from the ``graph``
+    key to the ``index`` key that sorted keys put after it, is spliced into
+    each later line of the run, encoded without its graph. A quote inside a
+    JSON string is escaped, so ``,"graph":`` and ``,"index":`` occur in a
+    line only as those keys.
+    """
+    # a sentinel, so the first report starts a run whatever its graph
+    graph, part, lines = object(), "", []
+    for r in reports:
+        obj = r.to_json_obj()
+        if obj["graph"] is not graph:
+            graph = obj["graph"]
+            line = _ENCODER.encode(obj)
+            start = line.index(',"graph":')
+            part = line[start:line.index(',"index":', start)]
+        else:
+            del obj["graph"]
+            line = _ENCODER.encode(obj)
+            cut = line.index(',"index":')
+            line = line[:cut] + part + line[cut:]
+        lines.append(line + "\n")
+    return "".join(lines)
 
 
 def reports_to_csv(reports: Iterable[VerificationReport]) -> str:
@@ -118,8 +144,9 @@ def reports_to_csv(reports: Iterable[VerificationReport]) -> str:
 class GraphContext:
     """One graph's check inputs, and its one route to I3(G)'s Betti tables, for ``reg`` too.
 
-    ``memo`` keeps the terms of I3(G)'s sum (see ``betti_hochster``); ``tables``
-    keeps, for each vertex set S asked for, their sub-sum over S: I3(G[S])'s table.
+    ``memo`` keeps the terms of I3(G)'s sum (see ``betti_hochster``), and
+    ``terms`` lists them once, on the first sub-sum; ``tables`` keeps, for each
+    vertex set S asked for, their sub-sum over S: I3(G[S])'s table.
     That sub-sum depends on S only through the vertices some 3-path uses
     (``used``), so S is keyed by its part inside them, and I3(G)'s table by
     ``used`` itself. ``colons`` keeps I3(G) : uv per edge uv, built by the
@@ -156,6 +183,15 @@ class GraphContext:
         return self.graph.three_path_vertices()
 
     @cached_property
+    def terms(self) -> HochsterTerms:
+        """I3(G)'s Hochster terms, listed from ``memo`` once its sum has filled it.
+
+        Only a sub-sum reads them, so ``reg`` and the checks that read no
+        sub-sum list none.
+        """
+        return hochster_terms(self.ideal, self.memo)
+
+    @cached_property
     def graph_json(self) -> dict:
         return graph_to_json_obj(self.graph)
 
@@ -178,15 +214,15 @@ class GraphContext:
 
         The first call runs I3(G)'s sum, which fills ``memo`` and serves every
         set holding all of ``used``, so a cap error is I3(G)'s, raised before
-        I3(G) is listed; any other set's table is the sub-sum of ``memo``'s
-        terms over W inside it.
+        I3(G) is listed; any other set's table is the sub-sum of I3(G)'s terms
+        over W inside it, one filter pass over ``terms``.
         """
         if self.used not in self.tables:
             check_cap(self.graph.n, len(self.used), self.cap)
             self.tables[self.used] = betti_hochster(self.ideal, self.field_, cap=self.cap, memo=self.memo)
         key = self.used if keep is None else self.used.intersection(keep)
         if key not in self.tables:
-            self.tables[key] = restricted_table(self.ideal, self.memo, key)
+            self.tables[key] = sub_table(self.terms, key)
         return self.tables[key]
 
     def reg(self, ideal: MonomialIdeal):

@@ -10,12 +10,14 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pathideals.betti import DEFAULT_CAP, GF2, GF3, QQ, BettiTable, betti_hochster, restricted_table
+from pathideals.betti import (
+    DEFAULT_CAP, GF2, GF3, QQ, BettiTable, betti_hochster, hochster_terms, sub_table,
+)
 from pathideals.cli import main
 from pathideals.errors import CapacityError, InputError
 from pathideals.generators import SplitMix64, graph_from_rng, tree_from_rng, unicyclic_from_rng
 from pathideals.graphs import Graph, classify, graph_from_json_obj, load_graph
-from pathideals import harness, ideals
+from pathideals import cli, harness, ideals
 from pathideals.harness import (
     CHECKS,
     WHICH_CHOICES,
@@ -264,6 +266,49 @@ def test_report_json_keys_are_every_field_but_elapsed():
     assert list(report.to_json_obj()) == [f.name for f in dataclasses.fields(report) if f.name != "elapsed"]
 
 
+def joined_json_lines(reports) -> str:
+    return "".join(r.json_line() + "\n" for r in reports)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_jsonl_of_one_graphs_reports_is_their_json_lines(name):
+    # one graph dict shared by every report, its text spliced into each line
+    reports = verify_graph(load_graph(fixture_path(f"{name}.txt")), "all", source=name)
+    assert len(reports) > 1
+    assert reports_to_jsonl(reports) == joined_json_lines(reports)
+
+
+@pytest.mark.parametrize("family, which", [("tree", "all"), ("unicyclic", "monotone"), ("random", "ses")])
+def test_jsonl_of_batch_reports_is_their_json_lines(family, which):
+    # one graph per report, with family, seed and index set
+    reports = run_batch(BatchSpec(family, 4, 9, 6, 11, which=which))
+    assert all(r.index == k and r.family == family for k, r in enumerate(reports))
+    assert reports_to_jsonl(reports) == joined_json_lines(reports)
+
+
+def test_jsonl_of_errored_reports_is_their_json_lines():
+    reports = run_batch(BatchSpec("random", 6, 9, 6, 2, cap=3))
+    errored = [r for r in reports if r.error is not None]
+    assert errored and all(r.reg is None for r in errored)
+    assert reports_to_jsonl(reports) == joined_json_lines(reports)
+
+
+def test_jsonl_splices_the_graph_at_its_key_not_inside_a_string():
+    (r,) = verify_graph(P5, "lower", source='x,"index":1')
+    r.checks.append(CheckResult("lower_bound", True, ',"index":2,"graph":{}'))
+    assert reports_to_jsonl([r, r]) == joined_json_lines([r, r])
+
+
+def test_jsonl_of_search_reports_is_their_json_lines(tmp_path, capsys):
+    out = tmp_path / "search"
+    argv = ["search", "--family", "random", "--n", "5..8", "--count", "8", "--seed", "4", "--out", str(out)]
+    with mock.patch.object(cli, "reports_to_jsonl", wraps=reports_to_jsonl) as spy:
+        assert main(argv) == 0
+    (call,) = spy.call_args_list
+    assert (out / "reports.jsonl").read_text() == joined_json_lines(call.args[0])
+    capsys.readouterr()
+
+
 def assert_subgraph_tables_are_fresh_tables(graph, field, subsets, reference=betti_hochster):
     ctx = GraphContext(graph, field)
     for keep in subsets:
@@ -411,7 +456,7 @@ def assert_deletions_keep_the_sum_terms(graph, field):
         j, memo = add_monomial(ctx.ideal, (u, v)), {}
         betti_hochster(j, field, memo=memo)
         for w in (u, v):
-            assert restricted_table(j, memo, every - {w}) == ctx.table(every - {w}), (u, v, w)
+            assert sub_table(hochster_terms(j, memo), every - {w}) == ctx.table(every - {w}), (u, v, w)
 
 
 @given(padded_graphs(), st.sampled_from([GF2, GF3, QQ]))
@@ -762,10 +807,10 @@ def test_verify_graph_all_leaves_the_memo_as_the_sum_filled_it(monkeypatch, name
 
 def sums_of_verify_all(graph) -> list[MonomialIdeal]:
     """The ideals ``verify_graph(graph, "all")`` runs Hochster sums of, once no vertex set's sub-sum repeats."""
-    with mock.patch.object(harness, "restricted_table", wraps=restricted_table) as subs, \
+    with mock.patch.object(harness, "sub_table", wraps=sub_table) as subs, \
             mock.patch.object(harness, "betti_hochster", wraps=betti_hochster) as sums:
         verify_graph(graph, "all")
-    keeps = [frozenset(call.args[2]) for call in subs.call_args_list]
+    keeps = [frozenset(call.args[1]) for call in subs.call_args_list]
     assert len(keeps) == len(set(keeps)), keeps
     return [call.args[0] for call in sums.call_args_list]
 
@@ -787,6 +832,33 @@ def test_verify_graph_all_sums_each_vertex_set_once_on_padded_graphs(graph):
     assert set(rest) <= {add_monomial(ideal, e) for e in graph.edges}
 
 
+def test_a_context_lists_i3_terms_at_most_once(c7_tail):
+    ctx = GraphContext(c7_tail)
+    every = set(range(c7_tail.n))
+    with mock.patch.object(harness, "hochster_terms", wraps=hochster_terms) as built:
+        ctx.table()
+        assert built.call_count == 0
+        for keep in (set(), every - {0}, every - {1}, {2, 3, 4}, every - {0}):
+            ctx.table(keep)
+        ctx.reg(ctx.edge_colon(*c7_tail.edges[0]))
+    assert built.call_args_list == [mock.call(ctx.ideal, ctx.memo)]
+
+
+@pytest.mark.parametrize("which", ["lower", "tree", "unicyclic", "colon", "broom"])
+def test_checks_that_read_no_sub_sum_list_no_terms(which, caterpillar, c6_pendant):
+    graph = c6_pendant if which == "unicyclic" else caterpillar
+    with mock.patch.object(harness, "hochster_terms", wraps=hochster_terms) as built:
+        assert verify_graph(graph, which)
+    assert built.call_count == 0
+
+
+def test_reg_lists_no_terms(capsys):
+    with mock.patch.object(harness, "hochster_terms", wraps=hochster_terms) as built:
+        assert main(["reg", fixture_path("c7_tail_11.txt"), "--format", "json"]) == 0
+    assert built.call_count == 0
+    capsys.readouterr()
+
+
 # The path 0-1-2-3 plus the edge 4-5, which lies on no 3-path. The digests
 # pin the report bytes, which the keying of the tables must not change.
 P4_PLUS_EDGE = Graph(6, ((0, 1), (1, 2), (2, 3), (4, 5)))
@@ -804,10 +876,22 @@ P4_PLUS_EDGE_REPORTS = {
     ("all", [[], [1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]),
 ])
 def test_vertex_sets_are_keyed_by_the_vertices_on_3_paths(which, keeps):
-    with mock.patch.object(harness, "restricted_table", wraps=restricted_table) as subs:
+    with mock.patch.object(harness, "sub_table", wraps=sub_table) as subs:
         text = reports_to_jsonl(verify_graph(P4_PLUS_EDGE, which))
-    assert [sorted(call.args[2]) for call in subs.call_args_list] == keeps
+    assert [sorted(call.args[1]) for call in subs.call_args_list] == keeps
     assert hashlib.sha256(text.encode()).hexdigest() == P4_PLUS_EDGE_REPORTS[which]
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, "P4_PLUS_EDGE", "two_edges"])
+def test_verify_all_lists_the_terms_once_per_graph_with_a_sub_sum(name):
+    graph = {
+        "P4_PLUS_EDGE": P4_PLUS_EDGE,
+        # no 3-path, so every vertex set's table is I3(G)'s and no sub-sum runs
+        "two_edges": Graph(4, ((0, 1), (2, 3))),
+    }.get(name) or load_graph(fixture_path(f"{name}.txt"))
+    with mock.patch.object(harness, "hochster_terms", wraps=hochster_terms) as built:
+        verify_graph(graph, "all")
+    assert built.call_count == (name != "two_edges")
 
 
 def test_verify_graph_all_computes_nu3_of_the_graph_once(monkeypatch, caterpillar):
