@@ -10,12 +10,13 @@ complexes are ranked. ``betti_hochster``'s docstring is the one account of
 the algorithm. The test suite referees it with an independent upper-Koszul
 oracle.
 
-The memo of nonzero series is the sum's own record of its terms.
-``hochster_terms`` lists them once, each with the Betti positions it adds
-to; ``sub_table`` then gives the table of the ideal generated by the
-generators inside any vertex set S, as the sub-sum over W inside S, in one
-filter pass over that list with no homology computed: the Betti table of an
-induced subgraph's path ideal.
+The memo of nonzero series is the sum's own record of its terms, and stays
+inside the sum: its last step lists them once (``hochster_terms``), each
+under the Betti position it adds to, and the table keeps that list
+(``BettiTable.terms``). ``sub_table`` then gives the table of the ideal
+generated by the generators inside any vertex set S, as the sub-sum over W
+inside S, in one filter pass over that list with no homology computed: the
+Betti table of an induced subgraph's path ideal.
 
 Ranks are exact and come from one reduction by leading column, in two
 kernels: rows packed as int bitsets over GF(2), and sparse {column: entry}
@@ -26,7 +27,7 @@ pivot other than +-1).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import and_, or_
@@ -285,9 +286,15 @@ def _graph_link_dims(s: int, w: int, face: bytes) -> dict[int, int] | None:
 
 @dataclass(frozen=True)
 class BettiTable:
-    """Graded Betti numbers of R/I as sorted (i, j, beta) triples."""
+    """Graded Betti numbers of R/I as sorted (i, j, beta) triples.
+
+    ``terms`` is set on the table ``betti_hochster`` returns: the Hochster
+    terms it summed (``HochsterTerms``), for ``sub_table``. Any other table
+    has None. Only ``entries`` are compared, hashed, shown and written out.
+    """
 
     entries: tuple[tuple[int, int, int], ...]
+    terms: HochsterTerms | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         cleaned = tuple(sorted((i, j, b) for i, j, b in self.entries if b))
@@ -455,22 +462,6 @@ def _plan(
     return collapse, words.view("<i8")[:, 0].tolist()
 
 
-def _used_vertices(ideal: MonomialIdeal) -> list[int]:
-    """The variables in some generator, in sorted order: bit k of a mask is the k-th."""
-    return vertices_of(reduce(or_, ideal.masks, 0))
-
-
-def _table_of(series_by_mask: Iterable[tuple[int, Mapping[int, int]]]) -> BettiTable:
-    """Hochster's sum: the t^k term of Delta_W's series adds to beta_{|W|-k, |W|} of R/I."""
-    table: dict[tuple[int, int], int] = {(0, 0): 1}
-    for w, series in series_by_mask:
-        size = w.bit_count()
-        for k, h in series.items():
-            key = (size - k, size)
-            table[key] = table.get(key, 0) + h
-    return BettiTable.from_dict(table)
-
-
 def _vertex_sets(nverts: int) -> Iterator[int]:
     """The masks over ``nverts`` vertices that hold p, for p from ``nverts`` - 1 down to 0.
 
@@ -629,13 +620,18 @@ def betti_hochster(
     built, and a cap so high that they cannot be allocated is a
     ``CapacityError`` too.
 
+    Last, ``hochster_terms`` walks the memo once, listing each term under
+    the Betti position it adds to. The table is those terms summed per
+    position, and keeps them as ``terms`` (none listed for the zero ideal),
+    from which ``sub_table`` takes any vertex set's sub-sum.
+
     ``memo``, an empty dict if given, is filled in place with the evaluation
     memo: each W whose Delta_W has homology, as a mask over the used vertices
-    in sorted order, maps to its series. ``hochster_terms`` lists it for
-    ``sub_table``, which sums it over the subsets of a vertex set. Its values
-    are shared between entries (a collapse W maps to W - v's own dict), so
-    they are read-only. A non-empty memo is an ``InputError``: its entries
-    would steer the descent and join the sum.
+    in sorted order, maps to its series. Its values are shared between
+    entries (a collapse W maps to W - v's own dict), so they are read-only.
+    Only tests pass one, to see what the sum selected; sub-sums read the
+    terms. A non-empty memo is an ``InputError``: its entries would steer the
+    descent and join the sum.
     """
     if ideal.is_unit:
         raise InputError("Betti table of the unit ideal is not defined")
@@ -644,10 +640,11 @@ def betti_hochster(
     elif memo:
         raise InputError(f"memo must be an empty dict to fill, got one with {len(memo)} entries")
     if ideal.is_zero:
-        return _table_of(())
+        return BettiTable(((0, 0, 1),), hochster_terms((), memo))
     char = field.characteristic
 
-    used = _used_vertices(ideal)
+    # the variables in some generator, in sorted order: bit k of a mask is the k-th
+    used = vertices_of(reduce(or_, ideal.masks, 0))
     check_cap(ideal.n, len(used), cap)
     pos = {v: k for k, v in enumerate(used)}
     gverts = [[pos[v] for v in vertices_of(g)] for g in ideal.masks]
@@ -762,47 +759,53 @@ def betti_hochster(
                             series[d] = series.get(d, 0) + h
         if series:
             memo[w] = series
-    return _table_of(memo.items())
+    terms = hochster_terms(used, memo)
+    return BettiTable(((0, 0, 1), *[(i, j, sum(hs)) for (i, j), _, hs in terms.by_key]), terms)
 
 
 @dataclass(frozen=True)
 class HochsterTerms:
-    """The terms of one ideal's Hochster sum, listed once for its sub-sums (``sub_table``).
+    """The terms of one ideal's Hochster sum, kept on its table for its sub-sums (``sub_table``).
 
-    ``bits`` maps each vertex the generators use to its bit in a memo mask.
-    ``by_key`` pairs each Betti position (i, j) with the (W, h) terms that
-    add h to it: the memo series of W has h at t^(j - i), and |W| = j. A
-    memo entry is listed once per degree of its series, so a sub-sum reads
-    no series and counts no bits.
+    ``used`` lists the vertices the generators use, bit k of a memo mask
+    standing for ``used[k]``. ``by_key`` holds each Betti position (i, j)
+    with the masks W of the terms that add to it and, aligned, the h each
+    adds: the memo series of W has h at t^(j - i), and |W| = j. A memo entry
+    is listed once per degree of its series, so a sub-sum reads no series
+    and counts no bits. The lists are shared by every reader of the table,
+    so they are read-only.
     """
 
-    bits: Mapping[int, int]
-    by_key: tuple[tuple[tuple[int, int], list[tuple[int, int]]], ...]
+    used: tuple[int, ...]
+    by_key: tuple[tuple[tuple[int, int], list[int], list[int]], ...]
 
 
-def hochster_terms(ideal: MonomialIdeal, memo: Mapping[int, Mapping[int, int]]) -> HochsterTerms:
-    """The terms of the memo ``betti_hochster`` filled for ``ideal``; the memo is only read."""
-    by_key: defaultdict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
+def hochster_terms(used: Iterable[int], memo: Mapping[int, Mapping[int, int]]) -> HochsterTerms:
+    """The terms of the memo ``betti_hochster`` filled over ``used``; the memo is only read."""
+    by_key: defaultdict[tuple[int, int], tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
     for w, series in memo.items():
         size = w.bit_count()
         for k, h in series.items():
-            by_key[size - k, size].append((w, h))
-    return HochsterTerms({v: 1 << k for k, v in enumerate(_used_vertices(ideal))}, tuple(by_key.items()))
+            ws, hs = by_key[size - k, size]
+            ws.append(w)
+            hs.append(h)
+    return HochsterTerms(tuple(used), tuple((key, ws, hs) for key, (ws, hs) in by_key.items()))
 
 
 def sub_table(terms: HochsterTerms, keep: Iterable[int]) -> BettiTable:
     """Betti table of R/J, J generated by the generators of the terms' ideal inside ``keep``.
 
-    For W inside ``keep`` the generators inside W are the same for J as for
-    I, so Delta_W is too, and Hochster's sum for J is the sub-sum of I's
-    terms over those W (for a path ideal, J is the path ideal of the induced
-    subgraph on ``keep``). The field is the memo's.
+    ``terms`` is ``betti_hochster(I).terms``. For W inside ``keep`` the
+    generators inside W are the same for J as for I, so Delta_W is too, and
+    Hochster's sum for J is the sub-sum of I's terms over those W (for a
+    path ideal, J is the path ideal of the induced subgraph on ``keep``).
+    The field is I's sum's. The table keeps no terms of its own.
     """
-    bits = terms.bits
-    outside = ~sum([bits[v] for v in set(keep) if v in bits])
+    keep = set(keep)
+    outside = ~sum([1 << k for k, v in enumerate(terms.used) if v in keep])
     # a position no term inside ``keep`` reaches sums to 0, which BettiTable drops
     return BettiTable(((0, 0, 1), *[
-        (i, j, sum([h for w, h in pairs if not w & outside])) for (i, j), pairs in terms.by_key
+        (i, j, sum([h for w, h in zip(ws, hs) if not w & outside])) for (i, j), ws, hs in terms.by_key
     ]))
 
 

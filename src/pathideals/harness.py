@@ -18,8 +18,7 @@ from operator import or_
 from typing import Callable, Iterable
 
 from .betti import (
-    DEFAULT_CAP, GF2, BettiTable, FieldSpec, HochsterTerms, SesBoundReport, betti_hochster,
-    check_cap, hochster_terms, sub_table,
+    DEFAULT_CAP, GF2, BettiTable, FieldSpec, SesBoundReport, betti_hochster, check_cap, sub_table,
 )
 from .errors import CapacityError, InputError, PathIdealsError
 from .generators import SplitMix64, graph_from_rng, tree_from_rng, unicyclic_from_rng
@@ -54,7 +53,7 @@ class VerificationReport:
     """One check's outcome on one graph, serialized by ``json_line`` and ``csv_row``.
 
     ``graph`` is the graph's JSON object, built once per ``GraphContext`` and
-    shared by every report on that graph, so it is read-only, as memo values are.
+    shared by every report on that graph, so it is read-only.
     """
 
     graph: dict
@@ -144,9 +143,8 @@ def reports_to_csv(reports: Iterable[VerificationReport]) -> str:
 class GraphContext:
     """One graph's check inputs, and its one route to I3(G)'s Betti tables, for ``reg`` too.
 
-    ``memo`` keeps the terms of I3(G)'s sum (see ``betti_hochster``), and
-    ``terms`` lists them once, on the first sub-sum; ``tables`` keeps, for each
-    vertex set S asked for, their sub-sum over S: I3(G[S])'s table.
+    ``tables`` keeps, for each vertex set S asked for, I3(G[S])'s table: the
+    sub-sum over S of the terms that I3(G)'s table keeps (``BettiTable.terms``).
     That sub-sum depends on S only through the vertices some 3-path uses
     (``used``), so S is keyed by its part inside them, and I3(G)'s table by
     ``used`` itself. ``colons`` keeps I3(G) : uv per edge uv, built by the
@@ -165,7 +163,6 @@ class GraphContext:
     cap: int = DEFAULT_CAP
     source: str = "graph"
     tables: dict[frozenset[int], BettiTable] = field(init=False, default_factory=dict)
-    memo: dict[int, dict[int, int]] = field(init=False, default_factory=dict)
     colons: dict[frozenset[int], MonomialIdeal] = field(init=False, default_factory=dict)
 
     @cached_property
@@ -181,15 +178,6 @@ class GraphContext:
     def used(self) -> frozenset[int]:
         """The vertices on some 3-path: the variables of I3(G)."""
         return self.graph.three_path_vertices()
-
-    @cached_property
-    def terms(self) -> HochsterTerms:
-        """I3(G)'s Hochster terms, listed from ``memo`` once its sum has filled it.
-
-        Only a sub-sum reads them, so ``reg`` and the checks that read no
-        sub-sum list none.
-        """
-        return hochster_terms(self.ideal, self.memo)
 
     @cached_property
     def graph_json(self) -> dict:
@@ -212,17 +200,17 @@ class GraphContext:
     def table(self, keep: Iterable[int] | None = None) -> BettiTable:
         """Betti table of R/I3(G[keep]), of R/I3(G) when ``keep`` is None, each set's once.
 
-        The first call runs I3(G)'s sum, which fills ``memo`` and serves every
-        set holding all of ``used``, so a cap error is I3(G)'s, raised before
-        I3(G) is listed; any other set's table is the sub-sum of I3(G)'s terms
-        over W inside it, one filter pass over ``terms``.
+        The first call runs I3(G)'s sum, whose table serves every set holding
+        all of ``used``, so a cap error is I3(G)'s, raised before I3(G) is
+        listed; any other set's table is the sub-sum of I3(G)'s terms over W
+        inside it, one filter pass over the terms its table keeps.
         """
         if self.used not in self.tables:
             check_cap(self.graph.n, len(self.used), self.cap)
-            self.tables[self.used] = betti_hochster(self.ideal, self.field_, cap=self.cap, memo=self.memo)
+            self.tables[self.used] = betti_hochster(self.ideal, self.field_, cap=self.cap)
         key = self.used if keep is None else self.used.intersection(keep)
         if key not in self.tables:
-            self.tables[key] = sub_table(self.terms, key)
+            self.tables[key] = sub_table(self.tables[self.used].terms, key)
         return self.tables[key]
 
     def reg(self, ideal: MonomialIdeal):
@@ -565,9 +553,9 @@ def _claim_instances(spec: BatchSpec, counter, conn) -> None:
 def _run_workers(spec: BatchSpec, workers: int) -> list[VerificationReport]:
     """The batch on ``workers`` forked processes that claim instances from a shared counter.
 
-    A worker that cannot start, or exits without reporting (an out-of-memory
-    kill, say), ends the batch with a ``CapacityError``; an exception a worker
-    sends is raised here. No worker outlives the call.
+    A worker that cannot start, or exits without reporting (killed when the
+    host runs out of RAM, say), ends the batch with a ``CapacityError``; an
+    exception a worker sends is raised here. No worker outlives the call.
     """
     import multiprocessing
     from multiprocessing.connection import wait

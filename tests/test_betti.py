@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from pathideals.betti import (
     rank_exact,
     rank_gf2_rows,
     rank_mod_p,
+    sub_table,
 )
 from pathideals.cli import main
 from pathideals.errors import CapacityError, InputError
@@ -843,6 +845,19 @@ SPLIT_CONFLICT = ideal(
     6, (0, 1, 4), (0, 3, 4), (0, 3, 5), (1, 2, 4), (1, 2, 5),
     (1, 3, 4), (1, 3, 5), (1, 4, 5), (2, 3, 5), (3, 4, 5),
 )
+# on W = 12456789 every Delta_{W-b} has H~_1 and the split reads Delta_W,
+# which is acyclic, so the memo keeps no entry for W
+SPLIT_ACYCLIC = ideal(
+    10,
+    (0, 1, 3), (0, 2, 3), (0, 1, 5), (1, 2, 5), (2, 3, 5), (0, 1, 6), (0, 3, 6),
+    (1, 3, 6), (2, 3, 6), (1, 4, 6), (3, 4, 6), (1, 5, 6), (2, 5, 6), (3, 5, 6),
+    (4, 5, 6), (0, 1, 7), (1, 2, 7), (2, 3, 7), (1, 4, 7), (2, 4, 7), (1, 5, 7),
+    (2, 5, 7), (1, 6, 7), (4, 6, 7), (0, 1, 8), (0, 2, 8), (0, 3, 8), (2, 3, 8),
+    (0, 4, 8), (2, 4, 8), (2, 5, 8), (0, 6, 8), (1, 6, 8), (2, 6, 8), (3, 6, 8),
+    (4, 6, 8), (5, 6, 8), (0, 7, 8), (1, 7, 8), (2, 7, 8), (4, 7, 8), (6, 7, 8),
+    (2, 3, 9), (2, 4, 9), (1, 5, 9), (2, 5, 9), (4, 5, 9), (4, 6, 9), (5, 6, 9),
+    (2, 7, 9), (4, 7, 9), (2, 8, 9), (4, 8, 9),
+)
 
 
 def test_each_ranked_link_and_each_survivor_series_match_the_oracle():
@@ -971,6 +986,7 @@ def test_split_gives_delta_w_the_homology_of_its_parts_unless_they_share_a_degre
     @example(SPLIT_ADDS, GF2)
     @example(SPLIT_CONFLICT, GF3)
     @example(SPLIT_CONFLICT, QQ)
+    @example(SPLIT_ACYCLIC, GF2)
     def check(i, field):
         if i.is_unit or i.is_zero:
             return
@@ -993,7 +1009,8 @@ def test_split_gives_delta_w_the_homology_of_its_parts_unless_they_share_a_degre
             v = w & -w
             rest = homology(w ^ v)
             link = reduced_homology_dims(colon(i, verts(v)), verts(w ^ v), field)
-            assert memo.get(w) == {k: h for k, h in enumerate(homology(w)) if h}
+            # the memo keeps only nonzero series, so an acyclic Delta_W has no entry
+            assert memo.get(w, {}) == {k: h for k, h in enumerate(homology(w)) if h}
             # each list starts at degree -1, so lk's degree d - 1 moves up one place
             added = [a + b for a, b in zip(rest + [0], [0] + link)]
             if any(a and b for a, b in zip(rest, link)):
@@ -1193,6 +1210,25 @@ def test_betti_table_entrywise_leq():
     big = BettiTable(((0, 0, 1), (1, 3, 2), (2, 4, 1)))
     assert small.entrywise_leq(big)
     assert not big.entrywise_leq(small)
+
+
+@given(ambient_ideals(), st.sampled_from([GF2, GF3, QQ]))
+@settings(max_examples=60)
+# the zero ideal's table keeps an empty list of terms
+@example(MonomialIdeal(4, ()), QQ)
+def test_a_sums_table_keeps_its_terms_out_of_its_value(i, field):
+    table = betti_hochster(i, field)
+    plain = BettiTable.from_dict(table.as_dict())
+    assert table == plain and hash(table) == hash(plain) and repr(table) == repr(plain)
+    assert table.to_json_obj(field) == plain.to_json_obj(field)
+    assert (table.csv_text(), table.pretty()) == (plain.csv_text(), plain.pretty())
+    again = pickle.loads(pickle.dumps(table))
+    assert again.entries == table.entries and again.terms == table.terms
+    # the sub-sum over every variable is the whole sum
+    whole = sub_table(table.terms, range(i.n))
+    assert whole == table
+    assert table.terms is not None
+    assert plain.terms is whole.terms is BettiTable(table.entries).terms is None
 
 
 def test_betti_table_outputs():

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pathideals.betti import (
-    DEFAULT_CAP, GF2, GF3, QQ, BettiTable, betti_hochster, hochster_terms, sub_table,
+    DEFAULT_CAP, GF2, GF3, QQ, BettiTable, HochsterTerms, betti_hochster, sub_table,
 )
 from pathideals.cli import main
 from pathideals.errors import CapacityError, InputError
 from pathideals.generators import SplitMix64, graph_from_rng, tree_from_rng, unicyclic_from_rng
 from pathideals.graphs import Graph, classify, graph_from_json_obj, load_graph
-from pathideals import cli, harness, ideals
+from pathideals import betti, cli, harness, ideals
 from pathideals.harness import (
     CHECKS,
     WHICH_CHOICES,
@@ -337,7 +337,9 @@ def test_subgraph_tables_without_a_3_path_are_trivial():
     for keep in (set(), {0, 8, 2}, {0, 3, 5, 6}):
         assert ctx.table(keep) == trivial
     edgeless = GraphContext(Graph(3, ()))
-    assert edgeless.table({0, 1}) == trivial and not edgeless.memo
+    assert edgeless.table({0, 1}) == trivial
+    # the zero ideal's sum lists no terms
+    assert edgeless.table().terms == HochsterTerms((), ())
 
 
 def fresh_calls(ctx, ideals):
@@ -453,10 +455,9 @@ def assert_deletions_keep_the_sum_terms(graph, field):
     for u, v in graph.edges:
         if not any(u in g and v in g for g in ctx.ideal.gens):
             continue
-        j, memo = add_monomial(ctx.ideal, (u, v)), {}
-        betti_hochster(j, field, memo=memo)
+        terms = betti_hochster(add_monomial(ctx.ideal, (u, v)), field).terms
         for w in (u, v):
-            assert sub_table(hochster_terms(j, memo), every - {w}) == ctx.table(every - {w}), (u, v, w)
+            assert sub_table(terms, every - {w}) == ctx.table(every - {w}), (u, v, w)
 
 
 @given(padded_graphs(), st.sampled_from([GF2, GF3, QQ]))
@@ -786,23 +787,23 @@ def test_verify_graph_all_computes_each_betti_table_once(monkeypatch, c7_tail):
 
 @pytest.mark.parametrize("name", ["caterpillar_7", "c6_pendant_7", "G12"])
 def test_verify_graph_all_leaves_the_memo_as_the_sum_filled_it(monkeypatch, name):
-    # memo values are shared between entries (a collapse takes W - v's own
-    # series), so any check that wrote to one would change others
+    # the memo stays inside the sum; what reaches the checks is the list of
+    # its terms on I3(G)'s table, shared by every sub-sum, so any check that
+    # wrote to it would change the sub-sums after it
     graph = graph_from_rng(12, 0.3, SplitMix64(1)) if name == "G12" else load_graph(fixture_path(f"{name}.txt"))
-    filled = []
+    listed = []
     real = harness.betti_hochster
 
-    def snapshot(ideal, field, *args, memo=None, **kwargs):
-        table = real(ideal, field, *args, memo=memo, **kwargs)
-        if memo is not None:
-            filled.append((memo, copy.deepcopy(memo)))
+    def snapshot(ideal, *args, **kwargs):
+        table = real(ideal, *args, **kwargs)
+        listed.append((ideal, table.terms, copy.deepcopy(table.terms)))
         return table
 
     monkeypatch.setattr(harness, "betti_hochster", snapshot)
     verify_graph(graph, "all")
-    [(memo, copied)] = filled
-    assert memo == copied
-    assert len({id(series) for series in memo.values()}) < len(memo)
+    assert listed[0][0] == path_ideal(graph, 3)
+    for _, terms, copied in listed:
+        assert terms == copied
 
 
 def sums_of_verify_all(graph) -> list[MonomialIdeal]:
@@ -832,33 +833,6 @@ def test_verify_graph_all_sums_each_vertex_set_once_on_padded_graphs(graph):
     assert set(rest) <= {add_monomial(ideal, e) for e in graph.edges}
 
 
-def test_a_context_lists_i3_terms_at_most_once(c7_tail):
-    ctx = GraphContext(c7_tail)
-    every = set(range(c7_tail.n))
-    with mock.patch.object(harness, "hochster_terms", wraps=hochster_terms) as built:
-        ctx.table()
-        assert built.call_count == 0
-        for keep in (set(), every - {0}, every - {1}, {2, 3, 4}, every - {0}):
-            ctx.table(keep)
-        ctx.reg(ctx.edge_colon(*c7_tail.edges[0]))
-    assert built.call_args_list == [mock.call(ctx.ideal, ctx.memo)]
-
-
-@pytest.mark.parametrize("which", ["lower", "tree", "unicyclic", "colon", "broom"])
-def test_checks_that_read_no_sub_sum_list_no_terms(which, caterpillar, c6_pendant):
-    graph = c6_pendant if which == "unicyclic" else caterpillar
-    with mock.patch.object(harness, "hochster_terms", wraps=hochster_terms) as built:
-        assert verify_graph(graph, which)
-    assert built.call_count == 0
-
-
-def test_reg_lists_no_terms(capsys):
-    with mock.patch.object(harness, "hochster_terms", wraps=hochster_terms) as built:
-        assert main(["reg", fixture_path("c7_tail_11.txt"), "--format", "json"]) == 0
-    assert built.call_count == 0
-    capsys.readouterr()
-
-
 # The path 0-1-2-3 plus the edge 4-5, which lies on no 3-path. The digests
 # pin the report bytes, which the keying of the tables must not change.
 P4_PLUS_EDGE = Graph(6, ((0, 1), (1, 2), (2, 3), (4, 5)))
@@ -882,16 +856,46 @@ def test_vertex_sets_are_keyed_by_the_vertices_on_3_paths(which, keeps):
     assert hashlib.sha256(text.encode()).hexdigest() == P4_PLUS_EDGE_REPORTS[which]
 
 
-@pytest.mark.parametrize("name", [*FIXTURES, "P4_PLUS_EDGE", "two_edges"])
-def test_verify_all_lists_the_terms_once_per_graph_with_a_sub_sum(name):
+def terms_listed(run) -> tuple[list[int], list[int]]:
+    """Run ``run()``: how often ``hochster_terms`` ran inside each Hochster sum, and inside each sub-sum."""
+    per_sum, per_sub = [], []
+    with mock.patch.object(betti, "hochster_terms", wraps=betti.hochster_terms) as listed:
+        def counted(real, into):
+            def call(*args, **kwargs):
+                before = listed.call_count
+                got = real(*args, **kwargs)
+                into.append(listed.call_count - before)
+                return got
+            return call
+
+        with mock.patch.object(harness, "betti_hochster", counted(harness.betti_hochster, per_sum)), \
+                mock.patch.object(harness, "sub_table", counted(harness.sub_table, per_sub)):
+            run()
+    # no terms are listed outside a sum
+    assert listed.call_count == sum(per_sum)
+    return per_sum, per_sub
+
+
+@pytest.mark.parametrize("command, name", [
+    ("reg", "c7_tail_11"),
+    *((which, "c6_pendant_7" if which == "unicyclic" else "caterpillar_7") for which in CHECKS),
+    *(("all", name) for name in [*FIXTURES, "P4_PLUS_EDGE", "two_edges"]),
+])
+def test_each_sum_lists_its_terms_once_and_no_sub_sum_lists_any(command, name, capsys):
     graph = {
         "P4_PLUS_EDGE": P4_PLUS_EDGE,
         # no 3-path, so every vertex set's table is I3(G)'s and no sub-sum runs
         "two_edges": Graph(4, ((0, 1), (2, 3))),
     }.get(name) or load_graph(fixture_path(f"{name}.txt"))
-    with mock.patch.object(harness, "hochster_terms", wraps=hochster_terms) as built:
-        verify_graph(graph, "all")
-    assert built.call_count == (name != "two_edges")
+    if command == "reg":
+        per_sum, per_sub = terms_listed(lambda: main(["reg", fixture_path(f"{name}.txt"), "--format", "json"]))
+        capsys.readouterr()
+    else:
+        per_sum, per_sub = terms_listed(lambda: verify_graph(graph, command))
+    assert per_sum == [1] * len(per_sum) and not any(per_sub)
+    # every command but colon and broom reads I3(G)'s table
+    assert bool(per_sum) == (command not in ("colon", "broom"))
+    assert bool(per_sub) == (command in ("ses", "monotone", "all") and name != "two_edges")
 
 
 def test_verify_graph_all_computes_nu3_of_the_graph_once(monkeypatch, caterpillar):
