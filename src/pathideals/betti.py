@@ -228,31 +228,36 @@ def _homology_dims_from_faces(rows: list, char: int) -> dict[int, int]:
     return dims
 
 
-def _graph_link_dims(s: int, w: int, face: bytes) -> dict[int, int] | None:
-    """Reduced homology dims of lk_W(S) in closed form, or None if it has a 2-face.
+def _graph_link_dims(s: int, w: int, face: bytes, shift: int) -> dict[int, int] | None:
+    """Series of lk_W(S) in closed form, shifted up by ``shift``, or None if it has a 2-face.
 
-    ``face``, one byte per mask, is nonzero at M exactly when M is a face of
-    Delta; only masks inside W are read. The link's vertices are the b in
-    W - S with S + b a face, its edges the pairs a, b with S + a + b a face.
-    With no vertex it is {empty set}; otherwise, if no S + a + b + c is a
-    face, it is a graph with V vertices, E edges and c components, so H~_0
-    has dimension c - 1 and H_1, free, E - V + c, over every field.
+    The series maps d + ``shift`` to the dimension of the reduced homology
+    H~_d(lk_W S), for its nonzero degrees d, so the caller's shift is added
+    as the one dict is built. ``face``, one byte per mask, is nonzero at M
+    exactly when M is a face of Delta; only masks inside W are read. The
+    link's vertices are the b in W - S with S + b a face, its edges the
+    pairs a, b with S + a + b a face. With no vertex it is {empty set};
+    otherwise, if no S + a + b + c is a face, it is a graph with V vertices,
+    E edges and c components, so H~_0 has dimension c - 1 and H_1, free,
+    E - V + c, over every field.
     """
-    verts = []
+    verts = 0
     todo = w & ~s
     while todo:
         b = todo & -todo
         todo ^= b
         if face[s | b]:
-            verts.append(b)
+            verts |= b
     if not verts:
-        return {-1: 1}
-    # down[b]: the link's neighbours of b below b, for the vertices b met so far
-    down: dict[int, int] = {}
-    edges, comps = 0, []
-    for b in verts:
+        return {shift - 1: 1}
+    # down: each link vertex a met so far, with its link neighbours below a
+    down: list[tuple[int, int]] = []
+    edges, comps, todo = 0, [], verts
+    while todo:
+        b = todo & -todo
+        todo ^= b
         sb, m = s | b, 0
-        for a, below_a in down.items():
+        for a, below_a in down:
             if face[sb | a]:
                 # a 2-face c < a < b has c below both a and b
                 both = below_a & m
@@ -262,7 +267,11 @@ def _graph_link_dims(s: int, w: int, face: bytes) -> dict[int, int] | None:
                     if face[sb | a | c]:
                         return None
                 m |= a
-        down[b] = m
+        down.append((b, m))
+        if not m:
+            # no edge below b: b starts a component of its own
+            comps.append(b)
+            continue
         edges += m.bit_count()
         # merge every component the edges at b touch
         comp, kept = b | m, []
@@ -275,9 +284,10 @@ def _graph_link_dims(s: int, w: int, face: bytes) -> dict[int, int] | None:
         comps = kept
     dims = {}
     if len(comps) > 1:
-        dims[0] = len(comps) - 1
-    if edges - len(verts) + len(comps):
-        dims[1] = edges - len(verts) + len(comps)
+        dims[shift] = len(comps) - 1
+    cycles = edges - verts.bit_count() + len(comps)
+    if cycles:
+        dims[shift + 1] = cycles
     return dims
 
 
@@ -693,10 +703,10 @@ def betti_hochster(
     # links[S]: lk(S), the faces F - S for each face F != S holding S
     links: dict = {}
 
-    def link_dims(s: int, w: int) -> dict[int, int]:
-        """H~(lk_W S): in closed form when it is a graph, ranked when it has a 2-face."""
+    def link_dims(s: int, w: int, shift: int) -> dict[int, int]:
+        """H~(lk_W S) shifted up by ``shift``: in closed form if it is a graph, ranked if it has a 2-face."""
         nonlocal index
-        dims = _graph_link_dims(s, w, face)
+        dims = _graph_link_dims(s, w, face, shift)
         if dims is None:
             if index is None:
                 ranked = [
@@ -710,7 +720,7 @@ def betti_hochster(
             inside = lk[(lk & ~w) == 0].tolist()
             # a row is never 0 or empty, so only a missing one is falsy
             got = [rows.get(f) or rows.setdefault(f, _boundary_row(f, ids, char)) for f in inside]
-            dims = _homology_dims_from_faces(got, char)
+            dims = {d + shift: h for d, h in _homology_dims_from_faces(got, char).items()}
         return dims
 
     for w, v, c in zip(masks, collapse, lowest):
@@ -725,38 +735,46 @@ def betti_hochster(
             series = {w.bit_count() - 1: 1}
         else:
             # descend: add each vertex b of W, in mask order, whose W - (T + b)
-            # has no series in the memo (is acyclic) for every T inside S;
-            # rest holds W - T for every T inside S
-            series, s, rest, todo = None, 0, [w], w
+            # has no series in the memo (is acyclic) for every T inside S.
+            # While S is empty, T is too, and W - b is tested alone
+            series, todo = None, w
             while todo:
                 b = todo & -todo
                 todo ^= b
-                for r in rest:
-                    if r ^ b in memo:
-                        break
-                else:
-                    if not face[s | b]:
-                        # no face of lk_W(S) holds b: it is lk_{W-b}(S), acyclic
-                        break
-                    s |= b
-                    rest += [r ^ b for r in rest]
-            else:
-                if s:
-                    shift = s.bit_count() + 1
-                    series = {d + shift: h for d, h in link_dims(s, w).items()}
-                else:
-                    # every W - b has homology: split Delta_W on its lowest vertex v
-                    v = w & -w
-                    without_v = memo[w ^ v]
-                    lk = {d + 2: h for d, h in link_dims(v, w).items()}
-                    if any(d - 1 in without_v for d in lk):
-                        # H~_j(lk_W v) -> H~_j(Delta_{W-v}) may be nonzero: read Delta_W
-                        series = {d + 1: h for d, h in link_dims(0, w).items()}
+                if w ^ b in memo:
+                    continue
+                # S takes b if it is a face; if not, W is rank-free, as below
+                if face[b]:
+                    # rest holds W - T for every T inside S
+                    s, rest = b, [w, w ^ b]
+                    while todo:
+                        b = todo & -todo
+                        todo ^= b
+                        for r in rest:
+                            if r ^ b in memo:
+                                break
+                        else:
+                            if not face[s | b]:
+                                # no face of lk_W(S) holds b: it is lk_{W-b}(S), acyclic
+                                break
+                            s |= b
+                            rest += [r ^ b for r in rest]
                     else:
-                        # a new dict: memo values are shared, and both may hold a degree
-                        series = dict(without_v)
-                        for d, h in lk.items():
-                            series[d] = series.get(d, 0) + h
+                        series = link_dims(s, w, s.bit_count() + 1)
+                break
+            else:
+                # every W - b has homology: split Delta_W on its lowest vertex v
+                v = w & -w
+                without_v = memo[w ^ v]
+                lk = link_dims(v, w, 2)
+                if any(d - 1 in without_v for d in lk):
+                    # H~_j(lk_W v) -> H~_j(Delta_{W-v}) may be nonzero: read Delta_W
+                    series = link_dims(0, w, 1)
+                else:
+                    # a new dict: memo values are shared, and both may hold a degree
+                    series = dict(without_v)
+                    for d, h in lk.items():
+                        series[d] = series.get(d, 0) + h
         if series:
             memo[w] = series
     terms = hochster_terms(used, memo)

@@ -800,6 +800,32 @@ def test_link_rule_ranks_smaller_complexes_on_g16():
     assert table.regularity() == 4 == 2 * nu3(graph)[0]
 
 
+@pytest.mark.parametrize(
+    "seed, edges, descents, ranked, rows",
+    [
+        (3, 15, (150, 62, 13), 19, 797),
+        (5, 17, (303, 81, 23), 21, 288),
+        (6, 18, (389, 85, 27), 16, 467),
+        (8, 19, (552, 81, 62), 50, 1_431),
+    ],
+)
+def test_link_rule_selection_on_dense_g11(seed, edges, descents, ranked, rows):
+    # G(11, 0.31), the size of the dense benchmark's graphs: the W left to
+    # rank besides the generator supports, those the descent finds acyclic,
+    # those whose S stays empty (the split), then the complexes ranked and
+    # their face rows, so that a faster descent or link read cannot change
+    # what is read
+    graph = graph_from_rng(11, 0.31, SplitMix64(seed))
+    assert len(graph.edges) == edges
+    i, memo = path_ideal(graph, 3), {}
+    table, plan, got, _ = recorded_sum(i, memo=memo)
+    gens, is_face = generator_supports(i), _faces_and_sizes(i)[0]
+    found = [descent(w, memo.__contains__, is_face) for w, parts in plan if parts is None and w not in gens]
+    assert (len(found), found.count(None), found.count(0)) == descents
+    assert (len(got), sum(got)) == (ranked, rows)
+    assert table == betti_hochster_unpruned(i)
+
+
 def test_descent_ranks_few_small_links_on_an_n22_tree():
     graph = random_tree(22, 1)
     i, memo = path_ideal(graph, 3), {}
@@ -1066,11 +1092,17 @@ def test_graph_links_take_their_homology_in_closed_form(case, field):
     nonfaces += triangles
     k = MonomialIdeal(w.bit_length(), frozenset(frozenset(p for p in range(8) if f >> p & 1) for f in nonfaces))
     expected = reduced_homology_dims(k, [p for p in range(8) if (w & ~s) >> p & 1], field)
-    # one byte per mask of the 8 vertices, as betti_hochster hands it over
-    assert betti._graph_link_dims(s, w, face_bytes(faces)) == {d: h for d, h in enumerate(expected, -1) if h}
-    # a 2-face leaves the link to be ranked
+    # one byte per mask of the 8 vertices, as betti_hochster hands it over; the
+    # series comes shifted up by the caller's shift: 1 for Delta_W, 2 for the
+    # split's link of a vertex and |S| + 1 for a descent's link
+    for shift in sorted({0, 1, 2, s.bit_count() + 1}):
+        dims = {d + shift: h for d, h in enumerate(expected, -1) if h}
+        assert betti._graph_link_dims(s, w, face_bytes(faces), shift) == dims
+    # a 2-face leaves the link to be ranked, at every shift
     for tri in triangles[:1]:
-        assert betti._graph_link_dims(s, w, face_bytes(faces | {t | tri for t in submasks(s)})) is None
+        with_tri = face_bytes(faces | {t | tri for t in submasks(s)})
+        for shift in sorted({0, 1, s.bit_count() + 1}):
+            assert betti._graph_link_dims(s, w, with_tri, shift) is None
 
 
 @given(graph_keys)
