@@ -494,26 +494,27 @@ def _flags(masks: int, size: int) -> np.ndarray:
     return np.unpackbits(packed, count=size, bitorder="little")
 
 
-def _face_index(face: bytes, ranked: list[int], nverts: int) -> tuple[dict[int, int], np.ndarray]:
+def _face_index(face_set: int, ranked: list[int], nverts: int) -> tuple[dict[int, int], np.ndarray]:
     """Columns and sorted array of the faces inside some W in ``ranked``, a subcomplex.
 
-    ``face[M]`` is 1 where the mask M is a face of Delta, 0 elsewhere, over
-    ``nverts`` vertices. The masks inside some ranked W are found as one set,
-    an int with bit M for the mask M: it starts as the ranked W, and for
-    each vertex b every mask in it that holds b adds itself less b, the
-    masks holding b shifted down by 2^b. The faces in that set are listed
-    in a sorted array, the empty face left out, and their columns numbered
-    in its order. ``betti_hochster`` builds this for the first link it
-    ranks, with ``ranked`` its W left to rank that are no generator's support.
+    ``face_set`` is the set of faces of Delta over ``nverts`` vertices, an
+    int with bit M set where the mask M is a face. The masks inside some
+    ranked W are found as one set, an int with bit M for the mask M: it
+    starts as the ranked W, and for each vertex b every mask in it that
+    holds b adds itself less b, the masks holding b shifted down by 2^b.
+    The faces in that set are listed in a sorted array, the empty face left
+    out, and their columns numbered in its order. ``betti_hochster`` builds
+    this for the first link it ranks, with ``ranked`` its W left to rank
+    that are no generator's support.
     """
-    marks = bytearray((len(face) + 7) // 8)
+    size = 1 << nverts
+    marks = bytearray((size + 7) // 8)
     for w in ranked:
         marks[w >> 3] |= 1 << (w & 7)
     below = int.from_bytes(marks, "little")
     for b, holds in zip(range(nverts - 1, -1, -1), _vertex_sets(nverts)):
         below |= (below & holds) >> (1 << b)
-    below &= int.from_bytes(np.packbits(np.frombuffer(face, dtype=np.uint8), bitorder="little"), "little")
-    faces = np.flatnonzero(_flags(below, len(face)))[1:]
+    faces = np.flatnonzero(_flags(below & face_set, size))[1:]
     # columns numbered up front in sorted order, not as rows are first built:
     # any numbering gives the same ranks, but first-met numbering made the
     # GF(2) reduction of G(17, 0.3) take 17% more XOR steps
@@ -534,13 +535,7 @@ def check_cap(n: int, used: int, cap: int) -> None:
         )
 
 
-def betti_hochster(
-    ideal: MonomialIdeal,
-    field: FieldSpec = GF2,
-    cap: int = DEFAULT_CAP,
-    *,
-    memo: dict[int, dict[int, int]] | None = None,
-) -> BettiTable:
+def betti_hochster(ideal: MonomialIdeal, field: FieldSpec = GF2, cap: int = DEFAULT_CAP) -> BettiTable:
     """Betti table of R/I by summing homology of induced subcomplexes.
 
     Hochster's formula sums dim H~_{j-i-1}(Delta_W) over the vertex subsets
@@ -562,17 +557,18 @@ def betti_hochster(
       has one component and no dominated vertex;
     - faces: Delta_g needs no rank, since g is the only generator inside it
       (minimal generators form an antichain), and its series is t^(|g|-1).
-      Whether a mask is a face is kept as one byte per mask; nothing else
-      about the faces is built up front;
+      Whether a mask is a face is kept as one byte per mask and as the set
+      of faces; nothing else about the faces is built up front;
     - evaluate: in mask order, so every proper subset of W comes first, each
       W's Poincare series is written down, counted, ranked or multiplied out
       of the memo, which keeps only nonzero series. The first complex ranked
-      builds the face index (``_face_index``): the faces inside every other
-      W left to rank, a subcomplex, listed in a sorted array with their
-      columns numbered in its order. A sum that ranks nothing, as on a path
-      or most small trees, builds none. A ranked complex selects its faces
-      by one vectorized test on the link of its face S, and a face's
-      boundary row is built on first use and kept for the rest of the sum.
+      builds the face index (``_face_index``) from the set of faces: the
+      faces inside every other W left to rank, a subcomplex, listed in a
+      sorted array with their columns numbered in its order. A sum that
+      ranks nothing, as on a path or most small trees, builds none. A
+      ranked complex selects its faces by one vectorized test on the link
+      of its face S, and a face's boundary row is built on first use and
+      kept for the rest of the sum.
       A collapse takes the series of W - v itself, not a copy.
 
     Every face and subset is named by its mask alone: the face bytes and
@@ -616,7 +612,8 @@ def betti_hochster(
     one of them, g, is not W, as W is no generator's support. T = W - g is
     a nonempty subset of S with Delta_{W-T} = Delta_g, a sphere in the
     memo, so the descent would have refused the last vertex of T it met.
-    The split's v is a face: a vertex in no face of Delta_W is dominated by
+    Every vertex of W is a face, so S takes its first vertex with no test,
+    and the split's v is one: a vertex in no face of Delta_W is dominated by
     every other, so its W is a collapse, never left to rank.
 
     A ranked complex is read from lk(S), its face S's link in the face
@@ -625,7 +622,7 @@ def betti_hochster(
 
     ``cap`` bounds the vertices the generators use, which size the 2^n face
     bytes and the 2^n-bit sets; variables in no generator cost nothing. The
-    test is ``check_cap``'s, after the unit, memo and zero-ideal tests. The
+    test is ``check_cap``'s, after the unit and zero-ideal tests. The
     face bytes, the largest single object, are asked for before any set is
     built, and a cap so high that they cannot be allocated is a
     ``CapacityError`` too.
@@ -633,24 +630,13 @@ def betti_hochster(
     Last, ``hochster_terms`` walks the memo once, listing each term under
     the Betti position it adds to. The table is those terms summed per
     position, and keeps them as ``terms`` (none listed for the zero ideal),
-    from which ``sub_table`` takes any vertex set's sub-sum.
-
-    ``memo``, an empty dict if given, is filled in place with the evaluation
-    memo: each W whose Delta_W has homology, as a mask over the used vertices
-    in sorted order, maps to its series. Its values are shared between
-    entries (a collapse W maps to W - v's own dict), so they are read-only.
-    Only tests pass one, to see what the sum selected; sub-sums read the
-    terms. A non-empty memo is an ``InputError``: its entries would steer the
-    descent and join the sum.
+    from which ``sub_table`` takes any vertex set's sub-sum. The terms are
+    all that leaves the sum: the memo is its own.
     """
     if ideal.is_unit:
         raise InputError("Betti table of the unit ideal is not defined")
-    if memo is None:
-        memo = {}
-    elif memo:
-        raise InputError(f"memo must be an empty dict to fill, got one with {len(memo)} entries")
     if ideal.is_zero:
-        return BettiTable(((0, 0, 1),), hochster_terms((), memo))
+        return BettiTable(((0, 0, 1),), hochster_terms((), {}))
     char = field.characteristic
 
     # the variables in some generator, in sorted order: bit k of a mask is the k-th
@@ -686,14 +672,18 @@ def betti_hochster(
     del holds, cover, above
     every = (1 << size) - 1
     survivors = np.flatnonzero(_flags(every ^ pruned, size))
+    # the set of faces, kept for the face index
+    face_set = every ^ nonfaces
     is_face = np.frombuffer(face, dtype=bool)
-    is_face[:] = _flags(every ^ nonfaces, size)
+    is_face[:] = _flags(face_set, size)
     del every, pruned, nonfaces
     collapse, lowest = _plan(survivors, gmasks, gverts, is_face, len(used))
     del is_face
     # listed only now, as _plan's temporaries set the peak memory of a large sum
     masks = survivors.tolist()
 
+    # W's series where Delta_W has homology, over every W met so far
+    memo: dict[int, dict[int, int]] = {}
     # a generator's support W is a sphere, written down: no rank and no rows
     gens = set(gmasks)
     # the boundary row of each face F, added when a ranked complex first reads F
@@ -712,7 +702,7 @@ def betti_hochster(
                 ranked = [
                     m for m, v, c in zip(masks, collapse, lowest) if v < 0 and c == m and m not in gens
                 ]
-                index = _face_index(face, ranked, len(used))
+                index = _face_index(face_set, ranked, len(used))
             ids, faces = index
             if s not in links:
                 links[s] = faces[((faces & s) == s) & (faces != s)] ^ s
@@ -743,24 +733,23 @@ def betti_hochster(
                 todo ^= b
                 if w ^ b in memo:
                     continue
-                # S takes b if it is a face; if not, W is rank-free, as below
-                if face[b]:
-                    # rest holds W - T for every T inside S
-                    s, rest = b, [w, w ^ b]
-                    while todo:
-                        b = todo & -todo
-                        todo ^= b
-                        for r in rest:
-                            if r ^ b in memo:
-                                break
-                        else:
-                            if not face[s | b]:
-                                # no face of lk_W(S) holds b: it is lk_{W-b}(S), acyclic
-                                break
-                            s |= b
-                            rest += [r ^ b for r in rest]
+                # S takes b, a face as every vertex of W is; rest holds W - T
+                # for every T inside S
+                s, rest = b, [w, w ^ b]
+                while todo:
+                    b = todo & -todo
+                    todo ^= b
+                    for r in rest:
+                        if r ^ b in memo:
+                            break
                     else:
-                        series = link_dims(s, w, s.bit_count() + 1)
+                        if not face[s | b]:
+                            # no face of lk_W(S) holds b: it is lk_{W-b}(S), acyclic
+                            break
+                        s |= b
+                        rest += [r ^ b for r in rest]
+                else:
+                    series = link_dims(s, w, s.bit_count() + 1)
                 break
             else:
                 # every W - b has homology: split Delta_W on its lowest vertex v

@@ -14,10 +14,11 @@ homology routine ``_homology_dims_from_faces``, so that it differs from
 ``betti_hochster`` only in ranking every subcomplex: it skips no cone and
 applies no join or collapse rule.
 
-Four small helpers that the package does not export are built on its own
+Five small helpers that the package does not export are built on its own
 code and are conveniences, not references: ``add_vars`` and
 ``path_ideal_within`` make ideals from ``MonomialIdeal`` and
-``Graph.three_paths_within``, ``regularity`` reads ``betti_hochster``, and
+``Graph.three_paths_within``, ``regularity`` reads ``betti_hochster``,
+``memo_of`` rebuilds a sum's memo from its table's terms, and
 ``edges_within`` filters ``Graph.edges``.
 
 The ideal arithmetic the package runs on bitmasks (``minimalize``, the
@@ -49,6 +50,7 @@ from pathideals.betti import (
     GF2,
     BettiTable,
     FieldSpec,
+    HochsterTerms,
     _boundary_row,
     _columns,
     _homology_dims_from_faces,
@@ -138,6 +140,22 @@ def regularity(ideal: MonomialIdeal, field: FieldSpec = GF2) -> float:
     if ideal.is_unit:
         return NEG_INF
     return betti_hochster(ideal, field).regularity()
+
+
+def memo_of(terms: HochsterTerms) -> dict[int, dict[int, int]]:
+    """The memo ``betti_hochster`` summed, {W: {j - i: h}}, rebuilt from its table's ``terms``.
+
+    Each term of W at (i, j) is the degree j - i of W's series, listed once,
+    and no series is zero; so the memo is rebuilt exactly, with each series
+    a dict of its own.
+    """
+    memo: dict[int, dict[int, int]] = {}
+    for (i, j), ws, hs in terms.by_key:
+        for w, h in zip(ws, hs):
+            series = memo.setdefault(w, {})
+            assert h and j - i not in series, (w, i, j)
+            series[j - i] = h
+    return memo
 
 
 # -- 3-paths and matchings ----------------------------------------------------------

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import pickle
+import random
 import tracemalloc
 
 import numpy as np
@@ -29,7 +30,7 @@ from pathideals.betti import (
 from pathideals.cli import main
 from pathideals.errors import CapacityError, InputError
 from pathideals.generators import (
-    SplitMix64, graph_from_rng, random_graph, random_tree, tree_from_rng, unicyclic_from_rng,
+    SplitMix64, graph_from_rng, random_graph, random_tree, random_unicyclic, tree_from_rng, unicyclic_from_rng,
 )
 from pathideals.graphs import Graph
 from pathideals.ideals import MonomialIdeal, colon, path_ideal
@@ -41,6 +42,7 @@ from oracles import (
     _faces_and_sizes,
     betti_hochster_unpruned,
     betti_koszul_oracle,
+    memo_of,
     path_betti_table,
     path_graph,
     rank_fraction,
@@ -433,18 +435,24 @@ def test_plan_collapses_the_lowest_dominated_vertex_then_peels_a_component(i):
 @settings(max_examples=60)
 # a bare variable beside a quadric and a cubic that share a vertex
 @example(ideal(6, (0,), (1, 2), (2, 3, 4)))
+# two bare variables beside a quadric and a cubic
+@example(ideal(7, (0,), (5,), (1, 2), (2, 3, 4)))
 def test_every_ranked_subset_has_two_vertices_so_no_link_leaves_it_empty(i):
-    survivors, gmasks, _, _, plan = captured_plan(i)
+    survivors, gmasks, is_face, nverts, plan = captured_plan(i)
     # a one-vertex survivor {p} is the union of the generators inside it: {p} itself
     assert all(w in gmasks for w in survivors if w.bit_count() == 1)
     # so every W left to rank that is not a generator's support keeps a vertex in W - v
-    assert all(w.bit_count() >= 2 for w, parts in plan if parts is None and w not in gmasks)
+    others = [w for w, parts in plan if parts is None and w not in gmasks]
+    assert all(w.bit_count() >= 2 for w in others)
+    # and each of its vertices is a face: a bare variable is dominated by every
+    # other vertex, so its W is a collapse, and the descent's S takes a vertex untested
+    assert all(is_face[1 << p] for w in others for p in range(nverts) if w >> p & 1)
 
 
-def recorded_sum(i, field=GF2, memo=None):
-    """``betti_hochster(i, field, memo=memo)`` with its plan as ``plan_parts``,
-    the face count of each ranked complex and the faces given boundary rows,
-    in the order their rows were built."""
+def recorded_sum(i, field=GF2):
+    """``betti_hochster(i, field)`` with its plan as ``plan_parts``, the face
+    count of each ranked complex and the faces given boundary rows, in the
+    order their rows were built."""
     plans, ranked, built = [], [], []
     plan, dims, row = betti._plan, betti._homology_dims_from_faces, betti._boundary_row
 
@@ -465,7 +473,8 @@ def recorded_sum(i, field=GF2, memo=None):
         mp.setattr(betti, "_plan", planned)
         mp.setattr(betti, "_homology_dims_from_faces", counted)
         mp.setattr(betti, "_boundary_row", listed)
-        table = betti_hochster(i, field, memo=memo)
+        # the ambient bounds the used vertices: check_referees runs past the default cap
+        table = betti_hochster(i, field, cap=i.n)
     [planned_once] = plans
     return table, planned_once, ranked, built
 
@@ -562,7 +571,9 @@ def ranked_sets(draw):
 def test_face_index_lists_the_faces_inside_the_ranked_sets(case):
     i, face, ranked, nverts = case
     assert face == _faces_and_sizes(i)[0].tobytes()
-    ids, faces = betti._face_index(bytearray(face), ranked, nverts)
+    # the set of faces, bit M for the mask M, as the sum's set step builds it
+    face_set = sum(1 << m for m, f in enumerate(face) if f)
+    ids, faces = betti._face_index(face_set, ranked, nverts)
     expected = [f for f in range(1, 1 << nverts) if face[f] and any(f & ~w == 0 for w in ranked)]
     assert faces.tolist() == expected
     # the empty face is column 0; the others are numbered per size in that order
@@ -648,8 +659,9 @@ def has_two_face(s, w, is_face):
     ids=["tree18", "G16"],
 )
 def test_rows_are_built_once_for_the_faces_ranked_complexes_read(graph, free):
-    i, memo = path_ideal(graph, 3), {}
-    _, plan, ranked, built = recorded_sum(i, memo=memo)
+    i = path_ideal(graph, 3)
+    table, plan, ranked, built = recorded_sum(i)
+    memo = memo_of(table.terms)
     # what each ranked W reads, from the plan, the final memo and Delta's faces
     # alone: memo entries below W are final when W is reached, so they decide
     # the descent's S and the split's branch as they did then
@@ -679,17 +691,6 @@ def test_rows_are_built_once_for_the_faces_ranked_complexes_read(graph, free):
     assert len(read) < len(below)
 
 
-def test_a_memo_that_is_not_empty_is_refused():
-    # a second sum into a used memo would rank links by the first sum's
-    # entries and add them to its table
-    memo = {}
-    betti_hochster(path_ideal(random_graph(9, 0.4, 1), 3), memo=memo)
-    before = copy.deepcopy(memo)
-    with pytest.raises(InputError, match=r"^memo must be an empty dict to fill, got one with \d+ entries$"):
-        betti_hochster(path_ideal(random_tree(9, 2), 3), memo=memo)
-    assert memo == before
-
-
 @given(ambient_ideals(), st.sampled_from([GF2, GF3, QQ]))
 @settings(max_examples=60)
 # a degree-1 generator next to cubics: Delta_{0} = {empty set}
@@ -699,8 +700,8 @@ def test_a_memo_that_is_not_empty_is_refused():
 @example(ideal(7, (1,), (0, 6), (0, 4, 5), (2, 3, 5), (3, 4, 5, 6)), GF3)
 @example(ideal(9, *RP2_NONFACES, (6,), (7, 8)), GF2)
 def test_generator_supports_take_their_sphere_in_closed_form(i, field):
-    memo = {}
-    table, plan, ranked, _ = recorded_sum(i, field, memo)
+    table, plan, ranked, _ = recorded_sum(i, field)
+    memo = memo_of(table.terms)
     assert table == betti_hochster_unpruned(i, field)
     assert table == betti_koszul_oracle(i, field)
     gens, is_face = generator_supports(i), _faces_and_sizes(i)[0]
@@ -782,9 +783,9 @@ def test_link_rule_sees_the_torsion_of_rp2(monkeypatch, field):
 
 def test_link_rule_ranks_smaller_complexes_on_g16():
     graph = graph_from_rng(16, 0.3, SplitMix64(1))
-    i, memo = path_ideal(graph, 3), {}
-    table, plan, ranked, _ = recorded_sum(i, memo=memo)
-    gens, is_face = generator_supports(i), _faces_and_sizes(i)[0]
+    i = path_ideal(graph, 3)
+    table, plan, ranked, _ = recorded_sum(i)
+    memo, gens, is_face = memo_of(table.terms), generator_supports(i), _faces_and_sizes(i)[0]
     descents = [descent(w, memo.__contains__, is_face) for w, parts in plan if parts is None and w not in gens]
     # the link rule changes what is ranked, not which subsets: 8,818 of 21,090
     # survivors are left to rank, and the 98 generator supports among them
@@ -817,9 +818,9 @@ def test_link_rule_selection_on_dense_g11(seed, edges, descents, ranked, rows):
     # what is read
     graph = graph_from_rng(11, 0.31, SplitMix64(seed))
     assert len(graph.edges) == edges
-    i, memo = path_ideal(graph, 3), {}
-    table, plan, got, _ = recorded_sum(i, memo=memo)
-    gens, is_face = generator_supports(i), _faces_and_sizes(i)[0]
+    i = path_ideal(graph, 3)
+    table, plan, got, _ = recorded_sum(i)
+    memo, gens, is_face = memo_of(table.terms), generator_supports(i), _faces_and_sizes(i)[0]
     found = [descent(w, memo.__contains__, is_face) for w, parts in plan if parts is None and w not in gens]
     assert (len(found), found.count(None), found.count(0)) == descents
     assert (len(got), sum(got)) == (ranked, rows)
@@ -828,9 +829,9 @@ def test_link_rule_selection_on_dense_g11(seed, edges, descents, ranked, rows):
 
 def test_descent_ranks_few_small_links_on_an_n22_tree():
     graph = random_tree(22, 1)
-    i, memo = path_ideal(graph, 3), {}
-    table, plan, ranked, _ = recorded_sum(i, memo=memo)
-    gens, is_face = generator_supports(i), _faces_and_sizes(i)[0]
+    i = path_ideal(graph, 3)
+    table, plan, ranked, _ = recorded_sum(i)
+    memo, gens, is_face = memo_of(table.terms), generator_supports(i), _faces_and_sizes(i)[0]
     descents = [descent(w, memo.__contains__, is_face) for w, parts in plan if parts is None and w not in gens]
     # 281 W are left to rank besides the 30 generator supports: 71 are found
     # acyclic, and 210 read a link of a nonempty face. 187 of those links are
@@ -909,10 +910,10 @@ def test_each_ranked_link_and_each_survivor_series_match_the_oracle():
             dims.append(original(rows, char))
             return dims[-1]
 
-        memo = {}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(betti, "_homology_dims_from_faces", recorded)
-            _, plan, ranked, _ = recorded_sum(i, field, memo)
+            table, plan, ranked, _ = recorded_sum(i, field)
+        memo = memo_of(table.terms)
         used, gens = sorted(set().union(*i.gens)), generator_supports(i)
         is_face = _faces_and_sizes(i)[0]
         faces = [f for f in range(1, 1 << len(used)) if is_face[f]]
@@ -1016,8 +1017,8 @@ def test_split_gives_delta_w_the_homology_of_its_parts_unless_they_share_a_degre
     def check(i, field):
         if i.is_unit or i.is_zero:
             return
-        memo = {}
-        _, plan, _, _ = recorded_sum(i, field, memo)
+        table, plan, _, _ = recorded_sum(i, field)
+        memo = memo_of(table.terms)
         used, gens = sorted(set().union(*i.gens)), generator_supports(i)
         is_face = _faces_and_sizes(i)[0]
 
@@ -1299,17 +1300,15 @@ def test_field_spec_checks_the_prime_bound_before_trial_division():
         FieldSpec(2**61 - 1)
 
 
-# -- the memo against Euler characteristics ----------------------------------------
+# -- the memo against Euler characteristics and sampled direct homology ------------
 
 
-def assert_memo_has_the_euler_characteristics(graph, field):
+def assert_memo_has_the_euler_characteristics(ideal, memo):
     """sum_k (-1)^(k-1) series_W[k] = chi~(Delta_W) for every W, whatever the field.
 
     Independent of the plan, the link rule and the join series, but blind to
     the rank kernels, whose terms cancel out of the alternating sum.
     """
-    ideal, memo = path_ideal(graph, 3), {}
-    betti_hochster(ideal, field, memo=memo)
     chi = reduced_euler_characteristics(ideal)
     from_memo = np.zeros_like(chi)
     from_memo[0] = -1  # Delta_{} = {empty set} is outside the sum
@@ -1334,7 +1333,8 @@ def mid_graphs(draw):
 @given(mid_graphs(), st.sampled_from([GF2, GF3, QQ]))
 @settings(max_examples=15)
 def test_memo_series_sum_to_euler_characteristics(graph, field):
-    assert_memo_has_the_euler_characteristics(graph, field)
+    ideal = path_ideal(graph, 3)
+    assert_memo_has_the_euler_characteristics(ideal, memo_of(betti_hochster(ideal, field).terms))
 
 
 @pytest.mark.parametrize(
@@ -1349,4 +1349,87 @@ def test_memo_series_sum_to_euler_characteristics(graph, field):
     ids=["tree20-gf2", "unicyclic20-gf2", "tree19-gf3", "g18-gf2", "g20-q"],
 )
 def test_memo_series_sum_to_euler_characteristics_at_n18_to_20(graph, field):
-    assert_memo_has_the_euler_characteristics(graph, field)
+    ideal = path_ideal(graph, 3)
+    assert_memo_has_the_euler_characteristics(ideal, memo_of(betti_hochster(ideal, field).terms))
+
+
+# the routes by which a sum gives W its series, in the order they are drawn
+ROUTES = ("cone", "collapse", "join", "sphere", "link", "rank-free", "split")
+
+
+def check_referees(graph, field=GF2):
+    """Referee I3(G)'s sum where no oracle sums it: every W by chi~, 20 W by direct homology.
+
+    The memo (``memo_of`` the table's terms) is checked against
+    ``reduced_euler_characteristics`` at every W. Then 20 W of at most 16
+    vertices are drawn with ``random.Random(1)``, one from each route in
+    turn (``ROUTES``): a cone, pruned, with no memo entry; the plan's
+    collapses and joins; a generator's support, a sphere; and the other W
+    left to rank, by where the descent (``descent``) ends: a link of a
+    nonempty face, rank-free, or the split. Each W's memo series must be
+    ``reduced_homology_dims``'s. Returns the routes drawn, with "no memo
+    entry" added when a drawn survivor has none.
+    """
+    ideal = path_ideal(graph, 3)
+    table, plan, _, _ = recorded_sum(ideal, field)
+    memo, gens, is_face = memo_of(table.terms), generator_supports(ideal), _faces_and_sizes(ideal)[0]
+    assert_memo_has_the_euler_characteristics(ideal, memo)
+    used = sorted(set().union(*ideal.gens))
+    rng = random.Random(1)
+    pools = {route: [] for route in ROUTES}
+    left = []
+    for w, parts in plan:
+        if w.bit_count() > 16:
+            continue
+        if parts is not None:
+            pools[("collapse", "join")[len(parts) - 1]].append(w)
+        elif w in gens:
+            pools["sphere"].append(w)
+        else:
+            left.append(w)
+    survivors = {w for w, _ in plan}
+    while len(pools["cone"]) < 20:
+        w = rng.getrandbits(len(used))
+        if w and w not in survivors and w.bit_count() <= 16:
+            pools["cone"].append(w)
+    rng.shuffle(left)
+    for route in ROUTES[1:4]:
+        rng.shuffle(pools[route])
+
+    def draw(route):
+        """A W of the route not drawn before, or None; the W left to rank are classified as needed."""
+        while not pools[route] and route in ROUTES[4:] and left:
+            s = descent(left[-1], memo.__contains__, is_face)
+            pools["rank-free" if s is None else "link" if s else "split"].append(left.pop())
+        return pools[route].pop() if pools[route] else None
+
+    drawn = []
+    while len(drawn) < 20:
+        more = [(route, w) for route in ROUTES for w in [draw(route)] if w is not None]
+        if not more:
+            break
+        drawn += more[: 20 - len(drawn)]
+    for route, w in drawn:
+        dims = reduced_homology_dims(ideal, [used[p] for p in range(len(used)) if w >> p & 1], field)
+        assert memo.get(w, {}) == {k: h for k, h in enumerate(dims) if h}, (route, w)
+    no_entry = {"no memo entry"} if any(w not in memo for route, w in drawn if route != "cone") else set()
+    return {route for route, _ in drawn} | no_entry
+
+
+EVERY_ROUTE = {*ROUTES, "no memo entry"}
+
+
+@pytest.mark.parametrize(
+    "graph, field, routes",
+    [
+        # no W of either graph splits: the descent always takes a vertex
+        (random_tree(22, 1), GF2, EVERY_ROUTE - {"split"}),
+        (random_unicyclic(22, 1), GF2, EVERY_ROUTE - {"split"}),
+        (random_graph(17, 0.3, 1), GF2, EVERY_ROUTE),
+        (random_unicyclic(14, 2), GF3, EVERY_ROUTE),
+        (random_graph(13, 0.3, 2), QQ, EVERY_ROUTE),
+    ],
+    ids=["tree22-gf2", "unicyclic22-gf2", "g17-gf2", "unicyclic14-gf3", "g13-q"],
+)
+def test_sampled_series_match_direct_homology_past_n20(graph, field, routes):
+    assert check_referees(graph, field) == routes

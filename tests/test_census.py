@@ -17,7 +17,7 @@ from pathideals.graphs import Graph, to_edge_list
 from pathideals.ideals import path_ideal
 from pathideals.matching import nu3
 
-from oracles import tree_classes, unicyclic_classes
+from oracles import memo_of, tree_classes, unicyclic_classes
 
 # OEIS A000055, trees on n = 1..12 vertices, and A001429, connected unicyclic
 # graphs on n = 3..12 vertices (the cycle C_n among them)
@@ -42,13 +42,13 @@ def reg_nu3_witness(graph: Graph, field: FieldSpec = GF2) -> tuple[int, int]:
 
     The union W of the certificate's paths induces nu3 disjoint 3-paths, so
     Delta_W is the join of nu3 triangle boundaries, a sphere S^(2 nu3 - 1):
-    the memo ``betti_hochster`` fills holds {2 nu3: 1} at W's mask, over the
-    used vertices in sorted order. That term of Hochster's sum is the
+    the memo of ``betti_hochster``'s terms holds {2 nu3: 1} at W's mask,
+    over the used vertices in sorted order. That term of Hochster's sum is the
     restriction argument for reg >= 2 nu3.
     """
     ideal = path_ideal(graph, 3)
-    memo: dict[int, dict[int, int]] = {}
-    reg = betti_hochster(ideal, field, memo=memo).regularity()
+    table = betti_hochster(ideal, field)
+    reg, memo = table.regularity(), memo_of(table.terms)
     size, cert = nu3(graph)
     if size:
         pos = {v: k for k, v in enumerate(sorted(frozenset().union(*ideal.gens)))}
